@@ -12,17 +12,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from . import data, dsp, evaluation
+from . import data, dsp
 from .augment import LabeledSpectrogram
-from .config import load_run_config, parse_size
+from .config import load_run_config
 from .errors import LungsoundError
-from .evaluation import TASKS
-from .model import ModelConfig, RespiratoryClassifier
-from .training import (evaluate_model, fit, load_checkpoint, save_checkpoint,
-                       write_history_csv)
+from .evaluation import TASKS, evaluate_predictions
+from .model import RespiratoryClassifier
+from .training import fit, load_checkpoint, predict, write_history_csv
 
 
 def _feature_dir(out, family, size, level):
@@ -142,16 +142,10 @@ def cmd_train(args):
     cfg, _, fdir, index = _prepare(args, task.level)
     _, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     crop = cfg.augment.crop_bins
-    model_config = ModelConfig(
+    model_config = replace(
+        cfg.model,
         input_dims=(cfg.size[0] - crop, cfg.size[1] - crop),
         n_classes=len(task.class_names),
-        doub_inc_channels=cfg.doub_inc_channels,
-        inc_res_channels=cfg.inc_res_channels,
-        rn_lambda=cfg.rn_lambda,
-        attn_heads=cfg.attn_heads,
-        attn_key_dim=cfg.attn_key_dim,
-        fc_hidden=cfg.fc_hidden,
-        dropout=cfg.dropout,
     )
     model = RespiratoryClassifier(model_config, seed=cfg.seed)
     os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
@@ -176,7 +170,8 @@ def cmd_evaluate(args):
     ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     model, _, _, _ = load_checkpoint(args.checkpoint)
     eval_idx = val_idx if val_idx else train_idx
-    report = evaluate_model(model, items, eval_idx, task, cfg.augment.crop_bins)
+    truth, probs = predict(model, items, eval_idx, cfg.augment.crop_bins)
+    report = evaluate_predictions(truth, probs, task)
 
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
     report_path = os.path.join(args.out, "reports", f"task_{args.task}.json")
@@ -184,30 +179,22 @@ def cmd_evaluate(args):
         fh.write(report.to_json() + "\n")
     _write_predictions(
         os.path.join(args.out, "reports", f"task_{args.task}_predictions.csv"),
-        model, items, ids, eval_idx, task, cfg.augment.crop_bins,
+        [ids[i] for i in eval_idx], truth, probs, task,
     )
     print(f"task {args.task}: Score {report.score:.4f} -> {report_path}")
     return 0
 
 
-def _write_predictions(path, model, items, ids, indices, task, crop_bins):
-    from . import autodiff as ad
-    from .augment import center_crop
-
-    with ad.no_grad(), open(path, "w", newline="") as fh:
+def _write_predictions(path, ids, truth, probs, task):
+    names = task.class_names
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "truth", "prediction"]
-            + [f"p_{c}" for c in task.class_names]
-        )
-        for i in indices:
-            item = items[i]
-            batch = center_crop(item.spec, crop_bins).values[None, None, :, :]
-            probs = model.forward(batch.astype(np.float64)).data[0]
+        writer.writerow(["id", "truth", "prediction"]
+                        + [f"p_{c}" for c in names])
+        for sample_id, true_class, p in zip(ids, truth, probs):
             writer.writerow(
-                [ids[i], task.class_names[int(np.argmax(item.label))],
-                 task.class_names[int(np.argmax(probs))]]
-                + [f"{p:.6f}" for p in probs]
+                [sample_id, names[true_class], names[int(np.argmax(p))]]
+                + [f"{x:.6f}" for x in p]
             )
 
 

@@ -1,31 +1,39 @@
 """Flat key-value run configuration.
 
-Config files are plain text, one `key = value` per line, `#` comments.
-Example:
-
-    seed = 7
-    wavelet.family = bump
-    spectrogram.size = 128x512
-    augment.crop_bins = 10
-    augment.mixup_alpha = 0.4
-    augment.oversample = true
-    train.batch_size = 16
-    train.epochs = 100
+Config files are plain text, one `key = value` per line, `#` comments; the
+README lists every key. The section dataclasses are the schema:
+`<section>.<field>` sets that field of `WaveletSpec`, `AugmentConfig`,
+`TrainConfig` or `ModelConfig`, and an absent key keeps the field's default.
+A value is read as the type of that default (bool, int, float, str, or
+comma-separated ints for a tuple). Any other key is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .augment import AugmentConfig
-from .dsp import EVENT_SECONDS, RECORD_SECONDS, WaveletSpec
+from .dsp import WaveletSpec
 from .errors import InvalidConfigError
+from .model import ModelConfig
 from .training import TrainConfig
 
 PAPER_SIZES = {
     (128, 128), (128, 256), (128, 512),
     (140, 256), (140, 512), (140, 1024),
 }
+
+# keys naming a RunConfig field directly
+TOP_LEVEL_KEYS = {
+    "seed": "seed",
+    "spectrogram.size": "size",
+    "spectrogram.allow_custom_size": "allow_custom_size",
+}
+SECTIONS = ("wavelet", "augment", "train", "model")
+# section fields worked out from other keys, so not keys themselves:
+# train.seed is `seed`; the model's input dims and class count follow from
+# spectrogram.size, augment.crop_bins and the task (cli.cmd_train)
+DERIVED_FIELDS = ("train.seed", "model.input_dims", "model.n_classes")
 
 
 def parse_kv(text):
@@ -43,22 +51,6 @@ def parse_kv(text):
     return out
 
 
-def _get(kv, key, default, cast):
-    if key not in kv:
-        return default
-    raw = kv[key]
-    try:
-        if cast is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        raise InvalidConfigError(f"config key {key}: bad value {raw!r}")
-
-
 def parse_size(text):
     try:
         f, t = text.lower().split("x")
@@ -67,80 +59,80 @@ def parse_size(text):
         raise InvalidConfigError(f"bad spectrogram size {text!r}, want FxT")
 
 
-def _int_list(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _cast(key, raw, default):
+    """`raw` read as the type of `default`."""
+    if key == "spectrogram.size":
+        return parse_size(raw)
+    try:
+        if isinstance(default, bool):
+            if raw.lower() in ("true", "1", "yes"):
+                return True
+            if raw.lower() in ("false", "0", "no"):
+                return False
+            raise ValueError(raw)
+        if isinstance(default, tuple):
+            return tuple(int(x) for x in raw.split(",") if x.strip())
+        return type(default)(raw)
+    except ValueError:
+        raise InvalidConfigError(f"config key {key}: bad value {raw!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Everything one run reads from its config file. `model.input_dims`
+    and `model.n_classes` keep their defaults here; training sets them."""
+
     seed: int = 0
     wavelet: WaveletSpec = field(default_factory=WaveletSpec)
     size: tuple = (128, 512)
+    allow_custom_size: bool = False
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    # model hyperparameters (input dims are derived from size and crop)
-    doub_inc_channels: int = 128
-    inc_res_channels: tuple = (128, 256)
-    rn_lambda: float = 0.4
-    attn_heads: int = 16
-    attn_key_dim: int = 32
-    fc_hidden: int = 512
-    dropout: float = 0.2
+    model: ModelConfig = field(default_factory=ModelConfig)
 
-    def target_seconds(self, level):
-        return EVENT_SECONDS if level == "event" else RECORD_SECONDS
+    def __post_init__(self):
+        if self.size not in PAPER_SIZES and not self.allow_custom_size:
+            raise InvalidConfigError(
+                f"spectrogram size {self.size[0]}x{self.size[1]} is "
+                "nonstandard; set spectrogram.allow_custom_size = true to "
+                "use it"
+            )
+
+
+def config_keys():
+    """Every accepted key, mapped to its default."""
+    cfg = RunConfig()
+    keys = {key: getattr(cfg, name) for key, name in TOP_LEVEL_KEYS.items()}
+    for section in SECTIONS:
+        for f in fields(getattr(cfg, section)):
+            key = f"{section}.{f.name}"
+            if key not in DERIVED_FIELDS:
+                keys[key] = f.default
+    return keys
 
 
 def load_run_config(path=None, text=None, overrides=None):
-    kv = parse_kv(text if text is not None else open(path).read())
+    if text is None:
+        with open(path) as fh:
+            text = fh.read()
+    kv = parse_kv(text)
     if overrides:
-        kv.update({k: v for k, v in overrides.items() if v is not None})
+        kv.update({k: str(v) for k, v in overrides.items() if v is not None})
 
-    seed = _get(kv, "seed", 0, int)
-    family = _get(kv, "wavelet.family", "bump", str).lower()
-    wavelet = WaveletSpec(
-        family=family,
-        morse_gamma=_get(kv, "wavelet.morse_gamma", 3.0, float),
-        morse_beta=_get(kv, "wavelet.morse_beta", 20.0, float),
-        amor_center_freq=_get(kv, "wavelet.amor_center_freq", 6.0, float),
-        bump_mu=_get(kv, "wavelet.bump_mu", 5.0, float),
-        bump_sigma=_get(kv, "wavelet.bump_sigma", 0.6, float),
-    )
-    size = parse_size(_get(kv, "spectrogram.size", "128x512", str))
-    if size not in PAPER_SIZES and not _get(
-        kv, "spectrogram.allow_custom_size", False, bool
-    ):
-        raise InvalidConfigError(
-            f"spectrogram size {size[0]}x{size[1]} is nonstandard; set "
-            "spectrogram.allow_custom_size = true to use it"
-        )
-    augment = AugmentConfig(
-        crop_bins=_get(kv, "augment.crop_bins", 10, int),
-        mixup_alpha=_get(kv, "augment.mixup_alpha", 0.4, float),
-        mixup=_get(kv, "augment.mixup", True, bool),
-        oversample=_get(kv, "augment.oversample", True, bool),
-    )
-    train = TrainConfig(
-        epochs=_get(kv, "train.epochs", 100, int),
-        batch_size=_get(kv, "train.batch_size", 16, int),
-        learning_rate=_get(kv, "train.learning_rate", 1e-4, float),
-        l2_lambda=_get(kv, "train.l2_lambda", 1e-4, float),
-        seed=seed,
-        eval_every=_get(kv, "train.eval_every", 1, int),
-        early_stop_evals=_get(kv, "train.early_stop_evals", 20, int),
-    )
-    return RunConfig(
-        seed=seed,
-        wavelet=wavelet,
-        size=size,
-        augment=augment,
-        train=train,
-        doub_inc_channels=_get(kv, "model.doub_inc_channels", 128, int),
-        inc_res_channels=_get(kv, "model.inc_res_channels", (128, 256),
-                              _int_list),
-        rn_lambda=_get(kv, "model.rn_lambda", 0.4, float),
-        attn_heads=_get(kv, "model.attn_heads", 16, int),
-        attn_key_dim=_get(kv, "model.attn_key_dim", 32, int),
-        fc_hidden=_get(kv, "model.fc_hidden", 512, int),
-        dropout=_get(kv, "model.dropout", 0.2, float),
-    )
+    defaults = config_keys()
+    top, sections = {}, {section: {} for section in SECTIONS}
+    for key, raw in kv.items():
+        if key not in defaults:
+            raise InvalidConfigError(f"unknown config key {key!r}")
+        value = _cast(key, raw, defaults[key])
+        if key in TOP_LEVEL_KEYS:
+            top[TOP_LEVEL_KEYS[key]] = value
+        else:
+            section, name = key.split(".", 1)
+            sections[section][name] = value
+    cfg = RunConfig()
+    sections["train"]["seed"] = top.get("seed", cfg.seed)
+    return replace(cfg, **top, **{
+        section: replace(getattr(cfg, section), **values)
+        for section, values in sections.items()
+    })

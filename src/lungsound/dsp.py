@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +55,7 @@ class AudioClip:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    family: str = "morse"
+    family: str = "bump"
     morse_gamma: float = 3.0
     morse_beta: float = 20.0
     amor_center_freq: float = 6.0
@@ -65,6 +65,7 @@ class WaveletSpec:
     FAMILIES = ("morse", "amor", "bump")
 
     def __post_init__(self):
+        object.__setattr__(self, "family", self.family.lower())
         if self.family not in self.FAMILIES:
             raise InvalidConfigError(f"unknown wavelet family {self.family!r}")
         if self.morse_gamma <= 0 or self.morse_beta <= 0:

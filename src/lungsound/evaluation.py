@@ -60,10 +60,6 @@ TASKS = {
 }
 
 
-def map_labels(raw_labels, task):
-    return [task.map_label(r) for r in raw_labels]
-
-
 def confusion(truth, pred, n_classes):
     """Count matrix with rows = truth, cols = prediction."""
     truth = np.asarray(truth, dtype=int)

@@ -9,13 +9,18 @@ spatial dims halve at each of the three blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InvalidConfigError, InvalidInputError
+
+
+# kernel sizes of each Inc-Res block's branches: IncFT KxK, IncT 1xK
+INCFT_KERNELS = ((3,), (3,))
+INCT_KERNELS = ((5, 7), (7, 9))
 
 
 @dataclass(frozen=True)
@@ -29,8 +34,6 @@ class ModelConfig:
     attn_key_dim: int = 32
     fc_hidden: int = 512
     dropout: float = 0.2
-    incft_kernels: tuple = ((3,), (3,))
-    inct_kernels: tuple = ((5, 7), (7, 9))
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -52,35 +55,33 @@ class ModelConfig:
         return dims
 
     def to_dict(self):
-        return {
-            "input_dims": list(self.input_dims),
-            "n_classes": self.n_classes,
-            "doub_inc_channels": self.doub_inc_channels,
-            "inc_res_channels": list(self.inc_res_channels),
-            "rn_lambda": self.rn_lambda,
-            "attn_heads": self.attn_heads,
-            "attn_key_dim": self.attn_key_dim,
-            "fc_hidden": self.fc_hidden,
-            "dropout": self.dropout,
-            "incft_kernels": [list(k) for k in self.incft_kernels],
-            "inct_kernels": [list(k) for k in self.inct_kernels],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            input_dims=tuple(d["input_dims"]),
-            n_classes=int(d["n_classes"]),
-            doub_inc_channels=int(d["doub_inc_channels"]),
-            inc_res_channels=tuple(d["inc_res_channels"]),
-            rn_lambda=float(d["rn_lambda"]),
-            attn_heads=int(d["attn_heads"]),
-            attn_key_dim=int(d["attn_key_dim"]),
-            fc_hidden=int(d["fc_hidden"]),
-            dropout=float(d["dropout"]),
-            incft_kernels=tuple(tuple(k) for k in d["incft_kernels"]),
-            inct_kernels=tuple(tuple(k) for k in d["inct_kernels"]),
-        )
+        """Inverse of `to_dict`, also after a JSON round trip;
+        InvalidConfigError on a missing, unknown or wrongly typed field."""
+        if set(d) != {f.name for f in fields(cls)}:
+            raise InvalidConfigError(f"model config has fields {sorted(d)}")
+        return cls(**{f.name: typed_like(d[f.name], f.default)
+                      for f in fields(cls)})
+
+
+def typed_like(value, default):
+    """`value`, as decoded from JSON, cast to the type of `default`: a
+    float field takes any number, a tuple field a list of ints, any other
+    field only its own type. InvalidConfigError otherwise."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(
+            type(v) is int for v in value)
+    elif isinstance(default, float):
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise InvalidConfigError(
+            f"expected {type(default).__name__}, got {value!r}")
+    return type(default)(value)
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
@@ -307,11 +308,11 @@ class RespiratoryClassifier(Module):
         self.doub_inc = DoubIncBlock(c, config.rn_lambda, config.dropout,
                                      rng, dtype)
         self.inc_res1 = IncResBlock(
-            c, c1, config.incft_kernels[0], config.inct_kernels[0],
+            c, c1, INCFT_KERNELS[0], INCT_KERNELS[0],
             config.rn_lambda, config.dropout, rng, dtype,
         )
         self.inc_res2 = IncResBlock(
-            c1, c2, config.incft_kernels[1], config.inct_kernels[1],
+            c1, c2, INCFT_KERNELS[1], INCT_KERNELS[1],
             config.rn_lambda, config.dropout, rng, dtype,
         )
         _, f_out, t_out = config.block_dims()[-1]

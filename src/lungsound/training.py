@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from .augment import balanced_oversample, center_crop, make_batch
 from .autodiff import Tensor
 from .errors import FormatError, InvalidConfigError, InvalidInputError
 from .evaluation import evaluate_predictions
-from .model import ModelConfig, RespiratoryClassifier
+from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 PRED_FLOOR = 1e-8
 
 HISTORY_COLUMNS = ("epoch", "split", "loss", "SE", "SP", "AS", "HS", "Score")
@@ -135,23 +135,26 @@ def _stack_eval(dataset, indices, crop_bins):
         item = dataset[i]
         specs.append(center_crop(item.spec, crop_bins).values)
         labels.append(int(np.argmax(item.label)))
-    batch = np.stack(specs)[:, None, :, :].astype(np.float64)
-    return batch, np.asarray(labels)
+    return np.stack(specs)[:, None, :, :], np.asarray(labels)
 
 
-def evaluate_model(model, dataset, indices, task, crop_bins, batch_size=32):
-    """Deterministic eval-mode scoring on center-cropped spectrograms."""
+def predict(model, dataset, indices, crop_bins, batch_size=32):
+    """Eval-mode class probabilities of center-cropped spectrograms, one
+    forward pass per batch. Returns (truth class ids, probabilities)."""
     truths, probs = [], []
     with ad.no_grad():
         for start in range(0, len(indices), batch_size):
             chunk = indices[start : start + batch_size]
             batch, truth = _stack_eval(dataset, chunk, crop_bins)
-            out = model.forward(batch, training=False)
-            probs.append(out.data)
+            probs.append(model.forward(batch, training=False).data)
             truths.append(truth)
-    return evaluate_predictions(
-        np.concatenate(truths), np.concatenate(probs), task
-    )
+    return np.concatenate(truths), np.concatenate(probs)
+
+
+def evaluate_model(model, dataset, indices, task, crop_bins, batch_size=32):
+    """Deterministic eval-mode scoring on center-cropped spectrograms."""
+    truth, probs = predict(model, dataset, indices, crop_bins, batch_size)
+    return evaluate_predictions(truth, probs, task)
 
 
 def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
@@ -282,6 +285,23 @@ def save_checkpoint(path, model, optimizer=None, seed=0, epoch=0):
     os.replace(tmp, path)
 
 
+def _read_header(path, text):
+    """(config, index, optimizer step, seed, epoch) from a checkpoint's JSON
+    header, each checked for the type `save_checkpoint` writes."""
+    try:
+        header = json.loads(text)
+        index = {
+            kind: [(typed_like(e["name"], ""), typed_like(e["shape"], ()))
+                   for e in header["index"][kind]]
+            for kind in ("params", "buffers", "opt_moments")
+        }
+        return (ModelConfig.from_dict(header["config"]), index,
+                typed_like(header["optimizer"]["step"], 0),
+                typed_like(header["seed"], 0), typed_like(header["epoch"], 0))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
+
+
 def load_checkpoint(path):
     """Returns (model, optimizer, seed, epoch) with parameters, buffers and
     Adam moments restored."""
@@ -292,18 +312,19 @@ def load_checkpoint(path):
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        header = json.loads(blob[12 : 12 + header_len])
-    except ValueError as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header") from exc
-    config = ModelConfig.from_dict(header["config"])
-    model = RespiratoryClassifier(config, seed=header["seed"])
+    config, index, step, seed, epoch = _read_header(
+        path, blob[12 : 12 + header_len])
+    model = RespiratoryClassifier(config, seed=seed)
     params = model.parameters()
     buffers = dict(model.named_buffers())
     offset = 12 + header_len
 
-    def take(shape, dtype):
+    def take(name, shape, known, kind, dtype):
         nonlocal offset
+        if name not in known:
+            raise FormatError(f"{path}: unknown {kind} {name!r}")
+        if tuple(known[name].shape) != shape:
+            raise FormatError(f"{path}: shape mismatch for {name!r}")
         n = int(np.prod(shape)) * np.dtype(dtype).itemsize
         if offset + n > len(blob):
             raise FormatError(f"{path}: truncated checkpoint payload")
@@ -311,25 +332,17 @@ def load_checkpoint(path):
         offset += n
         return out
 
-    for entry in header["index"]["params"]:
-        name = entry["name"]
-        if name not in params:
-            raise FormatError(f"{path}: unknown parameter {name!r}")
-        data = take(entry["shape"], "<f4")
-        if list(params[name].shape) != entry["shape"]:
-            raise FormatError(f"{path}: shape mismatch for {name!r}")
+    for name, shape in index["params"]:
+        data = take(name, shape, params, "parameter", "<f4")
         params[name].data = data.astype(params[name].data.dtype)
-    for entry in header["index"]["buffers"]:
-        name = entry["name"]
-        if name not in buffers:
-            raise FormatError(f"{path}: unknown buffer {name!r}")
-        buffers[name][...] = take(entry["shape"], "<f8")
+    for name, shape in index["buffers"]:
+        buffers[name][...] = take(name, shape, buffers, "buffer", "<f8")
     optimizer = Adam(params)
-    optimizer.step_count = header["optimizer"]["step"]
-    for entry in header["index"]["opt_moments"]:
-        name = entry["name"]
-        optimizer.m[name] = take(entry["shape"], "<f4").astype(np.float32).copy()
-        optimizer.v[name] = take(entry["shape"], "<f4").astype(np.float32).copy()
+    optimizer.step_count = step
+    for name, shape in index["opt_moments"]:
+        for moments in (optimizer.m, optimizer.v):
+            moments[name] = take(name, shape, params, "parameter",
+                                 "<f4").astype(np.float32)
     if offset != len(blob):
         raise FormatError(f"{path}: trailing bytes in checkpoint")
-    return model, optimizer, header["seed"], header["epoch"]
+    return model, optimizer, seed, epoch

@@ -1,11 +1,14 @@
+import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from lungsound.cli import main
 from lungsound.dsp import load_spectrogram
+from lungsound.model import RespiratoryClassifier
 
 TINY_CONFIG = """
 seed = 0
@@ -131,6 +134,34 @@ class TestEvaluateCommand:
         for line in lines[1:]:
             probs = [float(x) for x in line.split(",")[3:]]
             assert sum(probs) == pytest.approx(1.0, abs=1e-4)
+
+    def test_one_inference_pass_feeds_report_and_csv(self, workspace,
+                                                      tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(os.path.join(workspace["out"], "features"),
+                        out / "features")
+        seen = []
+        forward = RespiratoryClassifier.forward
+
+        def counting_forward(self, batch, *args, **kwargs):
+            seen.append(len(batch))
+            return forward(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(RespiratoryClassifier, "forward", counting_forward)
+        assert main(["evaluate", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1",
+                     "--checkpoint", workspace["checkpoint"]]) == 0
+        with open(out / "reports" / "task_1-1.json") as fh:
+            rep = json.load(fh)
+        with open(out / "reports" / "task_1-1_predictions.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(seen) == len(rows) == len({r["id"] for r in rows}) == 14
+        names = rep["classes"]
+        cm = np.zeros((len(names), len(names)), dtype=int)
+        for row in rows:
+            cm[names.index(row["truth"]), names.index(row["prediction"])] += 1
+        assert cm.tolist() == rep["confusion_matrix"]
 
     def test_evaluation_is_deterministic(self, workspace, tmp_path):
         out2 = str(tmp_path / "out2")

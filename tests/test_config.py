@@ -1,8 +1,45 @@
+import operator
+import os
+import re
+
 import pytest
 
-from lungsound.config import (PAPER_SIZES, load_run_config, parse_kv,
-                              parse_size)
+from lungsound.config import (PAPER_SIZES, RunConfig, config_keys,
+                              load_run_config, parse_kv, parse_size)
 from lungsound.errors import InvalidConfigError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+# every accepted key: (text of a non-default value, RunConfig attribute
+# path, the value it must load as)
+NON_DEFAULT = {
+    "seed": ("7", "seed", 7),
+    "wavelet.family": ("morse", "wavelet.family", "morse"),
+    "wavelet.morse_gamma": ("4.0", "wavelet.morse_gamma", 4.0),
+    "wavelet.morse_beta": ("10", "wavelet.morse_beta", 10.0),
+    "wavelet.amor_center_freq": ("5.5", "wavelet.amor_center_freq", 5.5),
+    "wavelet.bump_mu": ("6.0", "wavelet.bump_mu", 6.0),
+    "wavelet.bump_sigma": ("0.5", "wavelet.bump_sigma", 0.5),
+    "spectrogram.size": ("140x256", "size", (140, 256)),
+    "spectrogram.allow_custom_size": ("yes", "allow_custom_size", True),
+    "augment.crop_bins": ("4", "augment.crop_bins", 4),
+    "augment.mixup_alpha": ("0.2", "augment.mixup_alpha", 0.2),
+    "augment.mixup": ("false", "augment.mixup", False),
+    "augment.oversample": ("0", "augment.oversample", False),
+    "train.epochs": ("3", "train.epochs", 3),
+    "train.batch_size": ("8", "train.batch_size", 8),
+    "train.learning_rate": ("1e-3", "train.learning_rate", 1e-3),
+    "train.l2_lambda": ("1e-5", "train.l2_lambda", 1e-5),
+    "train.eval_every": ("2", "train.eval_every", 2),
+    "train.early_stop_evals": ("5", "train.early_stop_evals", 5),
+    "model.doub_inc_channels": ("8", "model.doub_inc_channels", 8),
+    "model.inc_res_channels": ("8,16", "model.inc_res_channels", (8, 16)),
+    "model.rn_lambda": ("0.5", "model.rn_lambda", 0.5),
+    "model.attn_heads": ("2", "model.attn_heads", 2),
+    "model.attn_key_dim": ("8", "model.attn_key_dim", 8),
+    "model.fc_hidden": ("64", "model.fc_hidden", 64),
+    "model.dropout": ("0.1", "model.dropout", 0.1),
+}
 
 
 class TestParseKv:
@@ -48,7 +85,7 @@ class TestLoadRunConfig:
         assert cfg.wavelet.family == "morse"
         assert cfg.size == (140, 256)
         assert cfg.train.epochs == 3
-        assert cfg.inc_res_channels == (8, 16)
+        assert cfg.model.inc_res_channels == (8, 16)
         assert cfg.augment.mixup is False
 
     def test_overrides_win(self):
@@ -75,3 +112,39 @@ class TestLoadRunConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(InvalidConfigError):
             load_run_config(text="train.epochs = soon\n")
+
+
+class TestSchema:
+    def test_accepted_keys_are_exactly_these(self):
+        assert len(NON_DEFAULT) == 26
+        assert set(config_keys()) == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_each_key_sets_its_field(self, key):
+        raw, path, expected = NON_DEFAULT[key]
+        assert config_keys()[key] != expected
+        cfg = load_run_config(text=f"{key} = {raw}\n")
+        assert operator.attrgetter(path)(cfg) == expected
+
+    def test_misspelt_key_rejected_by_name(self):
+        with pytest.raises(InvalidConfigError, match="train.epoch'"):
+            load_run_config(text="train.epoch = 5\n")
+
+    @pytest.mark.parametrize("key", ["model.n_classes", "model.input_dims",
+                                     "train.seed"])
+    def test_derived_fields_are_not_keys(self, key):
+        with pytest.raises(InvalidConfigError, match=key):
+            load_run_config(text=f"{key} = 3\n")
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert load_run_config(text="") == RunConfig()
+
+    def test_family_is_case_insensitive(self):
+        cfg = load_run_config(text="wavelet.family = Bump\n")
+        assert cfg.wavelet.family == "bump"
+
+    def test_readme_example_lists_every_key_with_its_default(self):
+        with open(README) as fh:
+            block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+        assert set(parse_kv(block)) == set(config_keys())
+        assert load_run_config(text=block) == RunConfig()

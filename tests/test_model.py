@@ -170,8 +170,8 @@ class TestParameterAccounting:
             total += 2 * co
         # Two Inc-Res blocks: FT and T branches plus 1x1 shortcut with BN
         for (ci, co), fts, ts in [
-            ((c, c1), cfg.incft_kernels[0], cfg.inct_kernels[0]),
-            ((c1, c2), cfg.incft_kernels[1], cfg.inct_kernels[1]),
+            ((c, c1), md.INCFT_KERNELS[0], md.INCT_KERNELS[0]),
+            ((c1, c2), md.INCFT_KERNELS[1], md.INCT_KERNELS[1]),
         ]:
             total += sum(conv(ci, co, k, k) for k in fts)
             total += sum(conv(ci, co, 1, k) for k in ts)

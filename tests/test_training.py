@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -295,6 +298,56 @@ class TestCheckpoint:
         path = tmp_path / "model.lsck"
         tr.save_checkpoint(path, model)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(FormatError):
+            tr.load_checkpoint(path)
+
+    @staticmethod
+    def edited_checkpoint(path, edit, version=tr.CHECKPOINT_VERSION):
+        """A saved checkpoint with its JSON header passed through `edit`."""
+        model = tiny_model()
+        tr.save_checkpoint(path, model, tr.Adam(model.parameters()))
+        blob = path.read_bytes()
+        n = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + n])
+        edit(header)
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:4] + struct.pack("<II", version, len(text))
+                         + text + blob[12 + n :])
+        return model
+
+    def test_rewritten_header_still_loads(self, tmp_path):
+        path = tmp_path / "model.lsck"
+        model = self.edited_checkpoint(path, lambda header: None)
+        assert tr.load_checkpoint(path)[0].config == model.config
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "model.lsck"
+        self.edited_checkpoint(path, lambda header: None, version=1)
+        with pytest.raises(FormatError, match="unsupported checkpoint version"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("epoch"),
+        lambda h: h["optimizer"].pop("step"),
+        lambda h: h["index"]["params"][0].pop("shape"),
+        lambda h: h["config"].pop("fc_hidden"),
+        lambda h: h["config"].update(inct_kernels=[[5, 7], [7, 9]]),
+        lambda h: h["config"].update(n_classes="3"),
+        lambda h: h["config"].update(input_dims=12),
+        lambda h: h["config"].update(inc_res_channels=[3.0, 4.0]),
+        lambda h: h.update(seed="0"),
+        lambda h: h.update(config=[]),
+        lambda h: h["index"]["buffers"][0].update(shape="4"),
+        lambda h: h["index"]["opt_moments"][0].update(name=7),
+        lambda h: h["index"]["opt_moments"][0].update(name="bogus"),
+        lambda h: h["index"]["opt_moments"][0].update(shape=[1, 1]),
+    ], ids=["no-epoch", "no-step", "no-shape", "config-missing",
+            "config-unknown", "config-str", "config-int-for-tuple",
+            "config-floats-for-ints", "seed-str", "config-list",
+            "shape-str", "name-int", "moment-unknown", "moment-shape"])
+    def test_malformed_header_is_a_format_error(self, tmp_path, edit):
+        path = tmp_path / "model.lsck"
+        self.edited_checkpoint(path, edit)
         with pytest.raises(FormatError):
             tr.load_checkpoint(path)
 

@@ -480,49 +480,20 @@ def dropout(x, p, training, rng=None):
     return x * Tensor(mask)
 
 
-def multi_head_attention(x, wq, wk, wv, wo):
-    """Self-attention over N×S×D input.
+def multi_head_attention(x, wq, wk, wv, wo, heads):
+    """Self-attention over N×S×D input, all heads in one batched pass.
 
-    wq/wk/wv are per-head lists of D×K projections; wo is (H·K)×D_out.
+    wq/wk/wv are D×(H·K) projections whose K-wide column blocks are the
+    heads, in order; wo is (H·K)×D_out.
     """
-    heads = []
-    for q_w, k_w, v_w in zip(wq, wk, wv):
-        key_dim = q_w.shape[-1]
-        q = matmul(x, q_w)
-        k = matmul(x, k_w)
-        v = matmul(x, v_w)
-        scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(key_dim))
-        heads.append(matmul(softmax(scores, axis=-1), v))
-    return matmul(concat(heads, axis=-1), wo)
+    n, s, _ = x.shape
+    key_dim = wq.shape[-1] // heads
 
+    def split_heads(w):  # N×S×(H·K) -> N×H×S×K
+        return transpose(reshape(matmul(x, w), (n, s, heads, key_dim)),
+                         (0, 2, 1, 3))
 
-# -- verification --------------------------------------------------------------
-
-
-def grad_check(fn, shapes, seed=0, h=1e-4):
-    """Compare analytic grads of scalar-valued `fn` against central
-    differences; returns the max relative error over all input elements."""
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(s) for s in shapes]
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = fn(*leaves)
-    out.backward()
-
-    worst = 0.0
-    for i, base in enumerate(arrays):
-        analytic = leaves[i].grad
-        if analytic is None:
-            analytic = np.zeros_like(base)
-        flat = base.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            hi = float(fn(*[Tensor(a) for a in arrays]).data)
-            flat[j] = orig - h
-            lo = float(fn(*[Tensor(a) for a in arrays]).data)
-            flat[j] = orig
-            numeric = (hi - lo) / (2 * h)
-            a = analytic.reshape(-1)[j]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
-    return worst
+    q, k, v = split_heads(wq), split_heads(wk), split_heads(wv)
+    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(key_dim))
+    out = transpose(matmul(softmax(scores, axis=-1), v), (0, 2, 1, 3))
+    return matmul(reshape(out, (n, s, heads * key_dim)), wo)

@@ -242,22 +242,6 @@ def cwt(clip, spec, grid):
     return out
 
 
-def cwt_direct(clip, spec, grid):
-    """Time-domain oracle: explicit circular correlation against the wavelet
-    kernels. O(F·P²); only for verification on short signals."""
-    x = clip.samples
-    xp, left = _pad_signal(x)
-    p = xp.size
-    omega = 2.0 * np.pi * np.fft.fftfreq(p)
-    out = np.empty((len(grid), x.size), dtype=np.complex128)
-    idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    for i, s in enumerate(grid.scales):
-        kernel = np.fft.ifft(spec.freq_response(s * omega))
-        row = np.conj(kernel)[idx] @ xp
-        out[i] = row[left : left + x.size]
-    return out
-
-
 def log_magnitude(coeffs):
     """dB compression: 20·log10(|c| + 1e-10)."""
     coeffs = np.asarray(coeffs)
@@ -326,7 +310,11 @@ def load_spectrogram(path):
     version, f, t = struct.unpack("<III", blob[4:16])
     if version != CACHE_VERSION:
         raise FormatError(f"{path}: unsupported cache version {version}")
+    if f == 0 or t == 0:
+        raise FormatError(f"{path}: empty {f}x{t} spectrogram")
     if len(blob) != 16 + 4 * f * t:
         raise FormatError(f"{path}: truncated cache payload")
     values = np.frombuffer(blob[16:], dtype="<f4").reshape(f, t)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite values in cache payload")
     return Spectrogram(values=values)

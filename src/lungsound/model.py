@@ -92,31 +92,27 @@ def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
 class Module:
     """Parameter container; children and Tensors found via __dict__ order."""
 
-    def named_parameters(self, prefix=""):
+    def _attributes(self, prefix=""):
+        """(dotted path, value) of every attribute of this module and of the
+        modules beneath it, depth first in __dict__ order; a list holds
+        modules, named by their index."""
         for name, value in self.__dict__.items():
             path = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
-                yield path, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(path + ".")
-            elif isinstance(value, (list, tuple)):
+            if isinstance(value, Module):
+                yield from value._attributes(path + ".")
+            elif isinstance(value, list):
                 for i, item in enumerate(value):
-                    if isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{path}.{i}", item
-                    elif isinstance(item, Module):
-                        yield from item.named_parameters(f"{path}.{i}.")
+                    yield from item._attributes(f"{path}.{i}.")
+            else:
+                yield path, value
 
-    def named_buffers(self, prefix=""):
-        for name, value in self.__dict__.items():
-            path = f"{prefix}{name}"
-            if isinstance(value, np.ndarray):
-                yield path, value
-            elif isinstance(value, Module):
-                yield from value.named_buffers(path + ".")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(f"{path}.{i}.")
+    def named_parameters(self):
+        return ((path, value) for path, value in self._attributes()
+                if isinstance(value, Tensor) and value.requires_grad)
+
+    def named_buffers(self):
+        return ((path, value) for path, value in self._attributes()
+                if isinstance(value, np.ndarray))
 
 
 class Conv2d(Module):
@@ -162,18 +158,19 @@ class BatchNorm2d(Module):
 
 
 class MultiHeadAttention(Module):
-    """Self-attention over N×S×D with per-head D×K projections and a final
-    (H·K)×D output projection."""
+    """Self-attention over N×S×D with D×(H·K) query/key/value projections,
+    one K-wide column block per head, and an (H·K)×D output projection."""
 
     def __init__(self, d_model, heads, key_dim, rng, dtype):
-        def proj():
-            return [
-                Tensor(
-                    glorot_uniform(rng, (d_model, key_dim), d_model, key_dim, dtype),
-                    requires_grad=True,
-                )
-                for _ in range(heads)
-            ]
+        def proj():  # one D×K Glorot draw per head: a head's fan-out is K
+            return Tensor(
+                np.concatenate([
+                    glorot_uniform(rng, (d_model, key_dim), d_model, key_dim,
+                                   dtype)
+                    for _ in range(heads)
+                ], axis=1),
+                requires_grad=True,
+            )
 
         self.wq = proj()
         self.wk = proj()
@@ -184,9 +181,11 @@ class MultiHeadAttention(Module):
             ),
             requires_grad=True,
         )
+        self.heads = heads
 
     def __call__(self, x):
-        return ad.multi_head_attention(x, self.wq, self.wk, self.wv, self.wo)
+        return ad.multi_head_attention(x, self.wq, self.wk, self.wv, self.wo,
+                                       self.heads)
 
 
 class IncBranches(Module):

@@ -1,7 +1,8 @@
 """KL-divergence training with L2 regularization, plus checkpointing.
 
 Loss: sum_n y_n·log(y_n / yhat_n) + (lambda/2)·||theta||^2 where theta ranges
-over convolution and dense weights (not biases or norm parameters).
+over convolution, dense and attention weights (not biases or norm
+parameters).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .evaluation import evaluate_predictions
 from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 PRED_FLOOR = 1e-8
 
 HISTORY_COLUMNS = ("epoch", "split", "loss", "SE", "SP", "AS", "HS", "Score")
@@ -47,16 +48,10 @@ class TrainConfig:
 
 
 def regularized_parameters(model):
-    """Conv, dense and attention-projection weights; biases and norm affine
-    parameters are left unregularized."""
-    out = {}
-    for name, p in model.parameters().items():
-        parts = name.split(".")
-        if parts[-1] in ("weight", "wo") or (
-            len(parts) >= 2 and parts[-2] in ("wq", "wk", "wv")
-        ):
-            out[name] = p
-    return out
+    """Every parameter of two or more dimensions: conv kernels, dense weights
+    and attention projections. Biases and norm affine parameters are 1-d and
+    left unregularized."""
+    return {name: p for name, p in model.parameters().items() if p.ndim >= 2}
 
 
 def kl_loss(y, y_hat, params=(), l2_lambda=0.0):
@@ -304,7 +299,8 @@ def _read_header(path, text):
 
 def load_checkpoint(path):
     """Returns (model, optimizer, seed, epoch) with parameters, buffers and
-    Adam moments restored."""
+    Adam moments restored. The index must list every parameter and buffer
+    once, and the Adam moments of every parameter once or of none."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -317,6 +313,13 @@ def load_checkpoint(path):
     model = RespiratoryClassifier(config, seed=seed)
     params = model.parameters()
     buffers = dict(model.named_buffers())
+    for kind, known in (("params", params), ("buffers", buffers),
+                        ("opt_moments", params if index["opt_moments"] else {})):
+        names = [name for name, _ in index[kind]]
+        for name in known:
+            if names.count(name) != 1:
+                raise FormatError(f"{path}: {kind} index lists {name!r} "
+                                  f"{names.count(name)} times, not once")
     offset = 12 + header_len
 
     def take(name, shape, known, kind, dtype):

@@ -5,6 +5,7 @@ from lungsound import autodiff as ad
 from lungsound.autodiff import Tensor
 from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
+from oracles import grad_check
 
 
 def conv2d_loop(x, w, b, padding="valid"):
@@ -218,9 +219,9 @@ class TestActivations:
 
 class TestAttention:
     def mha_params(self, rng, d, k, heads=1):
-        wq = [Tensor(rng.standard_normal((d, k))) for _ in range(heads)]
-        wk = [Tensor(rng.standard_normal((d, k))) for _ in range(heads)]
-        wv = [Tensor(rng.standard_normal((d, k))) for _ in range(heads)]
+        wq = Tensor(rng.standard_normal((d, heads * k)))
+        wk = Tensor(rng.standard_normal((d, heads * k)))
+        wv = Tensor(rng.standard_normal((d, heads * k)))
         wo = Tensor(rng.standard_normal((heads * k, d)))
         return wq, wk, wv, wo
 
@@ -228,7 +229,8 @@ class TestAttention:
         rng = np.random.default_rng(0)
         token = rng.standard_normal(6)
         x = Tensor(np.tile(token, (2, 5, 1)))
-        out = ad.multi_head_attention(x, *self.mha_params(rng, 6, 3, heads=2))
+        out = ad.multi_head_attention(x, *self.mha_params(rng, 6, 3, heads=2),
+                                      heads=2)
         for s in range(1, 5):
             assert np.allclose(out.data[:, s], out.data[:, 0])
 
@@ -236,9 +238,29 @@ class TestAttention:
         rng = np.random.default_rng(1)
         wq, wk, wv, wo = self.mha_params(rng, 4, 2)
         x = Tensor(rng.standard_normal((1, 1, 4)))
-        out = ad.multi_head_attention(x, wq, wk, wv, wo)
-        expected = x.data @ wv[0].data @ wo.data
+        out = ad.multi_head_attention(x, wq, wk, wv, wo, heads=1)
+        expected = x.data @ wv.data @ wo.data
         assert np.allclose(out.data, expected, atol=1e-12)
+
+    def test_fused_heads_match_per_head_reference(self):
+        rng = np.random.default_rng(2)
+        heads, k = 3, 2
+        wq, wk, wv, wo = self.mha_params(rng, 5, k, heads=heads)
+        x = rng.standard_normal((2, 4, 5))
+        out = ad.multi_head_attention(Tensor(x), wq, wk, wv, wo, heads=heads)
+        for n in range(2):
+            per_head = []
+            for h in range(heads):
+                cols = slice(h * k, (h + 1) * k)
+                q = x[n] @ wq.data[:, cols]
+                kk = x[n] @ wk.data[:, cols]
+                v = x[n] @ wv.data[:, cols]
+                scores = q @ kk.T / np.sqrt(k)
+                weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+                weights /= weights.sum(axis=1, keepdims=True)
+                per_head.append(weights @ v)
+            expected = np.concatenate(per_head, axis=1) @ wo.data
+            assert np.allclose(out.data[n], expected, rtol=0, atol=1e-12)
 
     def test_matches_hand_computed_table(self):
         # H=1, K=2, S=2, D=2 with simple projections
@@ -248,7 +270,7 @@ class TestAttention:
         wv = np.array([[2.0, 0.0], [0.0, 3.0]])
         wo = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = ad.multi_head_attention(
-            Tensor(x), [Tensor(wq)], [Tensor(wk)], [Tensor(wv)], Tensor(wo)
+            Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv), Tensor(wo), heads=1
         ).data
         q = x[0] @ wq
         k = x[0] @ wk
@@ -291,7 +313,7 @@ class TestGradCheck:
     TOL = 1e-6
 
     def test_dense(self):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x, w, b: ad.tsum(ad.dense(x, w, b) ** 2),
             [(3, 4), (4, 2), (2,)], seed=0,
         )
@@ -299,35 +321,35 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_conv2d(self, padding):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x, w, b: ad.tsum(ad.conv2d(x, w, b, padding) ** 2),
             [(2, 2, 5, 5), (3, 2, 3, 3), (3,)], seed=1,
         )
         assert err < self.TOL
 
     def test_conv2d_even_kernel(self):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x, w, b: ad.tsum(ad.conv2d(x, w, b, "same") ** 2),
             [(1, 1, 5, 4), (2, 1, 4, 1), (2,)], seed=2,
         )
         assert err < self.TOL
 
     def test_pool_avg(self):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x: ad.tsum(ad.pool2d(x, "avg", (2, 2)) ** 2),
             [(2, 2, 4, 6)], seed=3,
         )
         assert err < self.TOL
 
     def test_pool_max(self):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x: ad.tsum(ad.pool2d(x, "max", (2, 2)) ** 2),
             [(2, 2, 4, 4)], seed=4,
         )
         assert err < self.TOL
 
     def test_global_pools(self):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x: ad.tsum(ad.global_avg_over(x, "channel") ** 2)
             + ad.tsum(ad.global_max_over(x, "time") ** 2)
             + ad.tsum(ad.global_avg_over(x, "frequency") ** 2),
@@ -346,25 +368,27 @@ class TestGradCheck:
                                training=True)
             return ad.tsum(coef * bn + (coef * bn) ** 2)
 
-        assert ad.grad_check(fn, [(3, 2, 4, 4), (2,), (2,)], seed=6) < 1e-5
+        assert grad_check(fn, [(3, 2, 4, 4), (2,), (2,)], seed=6) < 1e-5
 
     def test_instance_norm(self):
-        err = ad.grad_check(
+        err = grad_check(
             lambda x: ad.tsum(ad.instance_norm_freq(x) ** 2),
             [(1, 2, 2, 6)], seed=7,
         )
         assert err < 1e-5
 
     def test_attention(self):
-        def fn(x, q, k, v, o):
-            return ad.tsum(
-                ad.multi_head_attention(x, [q], [k], [v], o) ** 2
-            )
+        for heads in (1, 2):
+            def fn(x, q, k, v, o):
+                return ad.tsum(
+                    ad.multi_head_attention(x, q, k, v, o, heads) ** 2
+                )
 
-        err = ad.grad_check(
-            fn, [(1, 3, 4), (4, 2), (4, 2), (4, 2), (2, 4)], seed=8
-        )
-        assert err < 1e-5
+            hk = heads * 2
+            err = grad_check(
+                fn, [(1, 3, 4), (4, hk), (4, hk), (4, hk), (hk, 4)], seed=8
+            )
+            assert err < 1e-5, heads
 
     def test_softmax_kl_composite(self):
         y = np.array([[0.2, 0.5, 0.3], [0.7, 0.1, 0.2]])
@@ -373,4 +397,4 @@ class TestGradCheck:
             p = ad.softmax(logits, axis=-1)
             return ad.tsum(Tensor(y) * (ad.log(Tensor(y)) - ad.log(p)))
 
-        assert ad.grad_check(fn, [(2, 3)], seed=9) < 1e-5
+        assert grad_check(fn, [(2, 3)], seed=9) < 1e-5

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy import signal
 
 from lungsound import dsp
 from lungsound.errors import FormatError, InvalidConfigError, InvalidInputError
+from oracles import cwt_direct
 
 
 def tone(freq, rate, seconds=1.0, amp=1.0):
@@ -171,7 +174,7 @@ class TestCwt:
             x = rng.standard_normal(int(rng.integers(64, 300)))
             clip = dsp.AudioClip(x, 4000)
             fast = dsp.cwt(clip, spec, grid)
-            slow = dsp.cwt_direct(clip, spec, grid)
+            slow = cwt_direct(clip, spec, grid)
             scale = np.max(np.abs(slow))
             assert np.max(np.abs(fast - slow)) / scale < 1e-6
 
@@ -247,6 +250,23 @@ class TestCacheFormat:
         path = tmp_path / "b.lssg"
         path.write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(FormatError):
+            dsp.load_spectrogram(path)
+
+    @pytest.mark.parametrize("f, t", [(0, 4), (4, 0)])
+    def test_empty_header_rejected(self, tmp_path, f, t):
+        path = tmp_path / "e.lssg"
+        path.write_bytes(dsp.CACHE_MAGIC
+                         + struct.pack("<III", dsp.CACHE_VERSION, f, t))
+        with pytest.raises(FormatError, match="e.lssg"):
+            dsp.load_spectrogram(path)
+
+    def test_nonfinite_payload_rejected(self, tmp_path):
+        path = tmp_path / "n.lssg"
+        dsp.save_spectrogram(path, dsp.Spectrogram(values=np.zeros((2, 3))))
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="n.lssg"):
             dsp.load_spectrogram(path)
 
     def test_truncation_rejected(self, tmp_path):

@@ -109,13 +109,11 @@ class TestRegularizedParameters:
     def test_selects_weights_not_biases_or_norms(self):
         model = tiny_model()
         reg = tr.regularized_parameters(model)
-        assert reg
+        params = model.parameters()
+        assert set(reg) == {n for n, p in params.items() if p.ndim >= 2}
         for name in reg:
-            parts = name.split(".")
-            assert parts[-1] in ("weight", "wo") or parts[-2] in (
-                "wq", "wk", "wv",
-            )
-        for name in model.parameters():
+            assert name.split(".")[-1] in ("weight", "wq", "wk", "wv", "wo")
+        for name in params:
             if name.endswith(("bias", "gamma", "beta")):
                 assert name not in reg
 
@@ -315,14 +313,41 @@ class TestCheckpoint:
                          + text + blob[12 + n :])
         return model
 
+    @staticmethod
+    def edited_index(path, kind, edit):
+        """A saved checkpoint with its `kind` index entries, each paired with
+        its payload bytes, passed through `edit`."""
+        model = tiny_model()
+        tr.save_checkpoint(path, model, tr.Adam(model.parameters()))
+        blob = path.read_bytes()
+        n = struct.unpack("<I", blob[8:12])[0]
+        header = json.loads(blob[12 : 12 + n])
+        offset, chunks = 12 + n, {}
+        # bytes per element: f4 params, f8 buffers, f4 m plus f4 v moments
+        for k, width in (("params", 4), ("buffers", 8), ("opt_moments", 8)):
+            chunks[k] = []
+            for entry in header["index"][k]:
+                size = width * int(np.prod(entry["shape"]))
+                chunks[k].append((entry, blob[offset : offset + size]))
+                offset += size
+        chunks[kind] = edit(chunks[kind])
+        for k, pairs in chunks.items():
+            header["index"][k] = [entry for entry, _ in pairs]
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(
+            blob[:8] + struct.pack("<I", len(text)) + text
+            + b"".join(b for pairs in chunks.values() for _, b in pairs))
+        return model
+
     def test_rewritten_header_still_loads(self, tmp_path):
         path = tmp_path / "model.lsck"
         model = self.edited_checkpoint(path, lambda header: None)
         assert tr.load_checkpoint(path)[0].config == model.config
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unsupported_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.lsck"
-        self.edited_checkpoint(path, lambda header: None, version=1)
+        self.edited_checkpoint(path, lambda header: None, version=version)
         with pytest.raises(FormatError, match="unsupported checkpoint version"):
             tr.load_checkpoint(path)
 
@@ -350,6 +375,33 @@ class TestCheckpoint:
         self.edited_checkpoint(path, edit)
         with pytest.raises(FormatError):
             tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, edit, named", [
+        ("params", lambda es: [e for e in es
+                               if e[0]["name"] != "head.fc2.bias"],
+         "head.fc2.bias"),
+        ("params", lambda es: es + es[:1], "doub_inc.inc_a.branches.0.weight"),
+        ("buffers", lambda es: es[1:], "doub_inc.bn_a.running_mean"),
+        ("buffers", lambda es: es + es[:1], "doub_inc.bn_a.running_mean"),
+        ("opt_moments", lambda es: es[:-1], "head.fc2.bias"),
+        ("opt_moments", lambda es: es + es[:1],
+         "doub_inc.inc_a.branches.0.weight"),
+    ], ids=["param-missing", "param-twice", "buffer-missing", "buffer-twice",
+            "moment-missing", "moment-twice"])
+    def test_incomplete_index_is_a_format_error(self, tmp_path, kind, edit,
+                                                named):
+        path = tmp_path / "model.lsck"
+        self.edited_index(path, kind, edit)
+        with pytest.raises(FormatError, match=named):
+            tr.load_checkpoint(path)
+
+    def test_index_without_moments_loads(self, tmp_path):
+        path = tmp_path / "model.lsck"
+        model = self.edited_index(path, "opt_moments", lambda es: [])
+        loaded, opt, _, _ = tr.load_checkpoint(path)
+        for name, p in model.parameters().items():
+            assert np.array_equal(loaded.parameters()[name].data, p.data)
+            assert not np.any(opt.m[name])
 
 
 class TestTrainConfig:

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor records the operation that produced it and its parents; calling
-``backward()`` on a scalar walks the tape in reverse topological order and
-accumulates gradients into every ``requires_grad`` leaf. Only the primitives
-needed by the network are implemented: elementwise arithmetic, matmul,
-reductions, 2-d convolution/pooling, normalizations, dropout and attention.
+``backward()`` on a scalar walks the tape in reverse topological order,
+accumulates gradients into every ``requires_grad`` leaf and frees the tape
+behind it, so a graph is differentiated once. Constants take the dtype of
+the Tensor they meet. Only the primitives needed by the network are
+implemented: elementwise arithmetic, matmul, reductions, 2-d
+convolution/pooling, normalizations, dropout and attention.
 """
 
 from __future__ import annotations
@@ -71,9 +73,12 @@ class Tensor:
             raise UsageError("backward() already ran on this graph")
         self._done = True
 
+        # root popped first; a node leaves the list and drops its parents and
+        # closure (the arrays it saved) once it has passed its gradients on
         order = _toposort(self)
         grads = {id(self): np.ones_like(self.data)}
-        for node in order:
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -86,11 +91,12 @@ class Tensor:
                     continue
                 key = id(parent)
                 grads[key] = pg if key not in grads else grads[key] + pg
+            node._parents, node._backprop = (), _unwound
 
     # -- operator sugar ----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     __radd__ = __add__
 
@@ -98,26 +104,26 @@ class Tensor:
         return mul_scalar(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, -_wrap(other))
+        return add(self, -_wrap(other, self))
 
     def __rsub__(self, other):
-        return add(-self, _wrap(other))
+        return add(-self, _wrap(other, self))
 
     def __mul__(self, other):
         if np.isscalar(other):
             return mul_scalar(self, float(other))
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, _wrap(other, self))
 
     def __pow__(self, p):
         return power(self, float(p))
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, _wrap(other, self))
 
     def reshape(self, shape):
         return reshape(self, shape)
@@ -138,8 +144,11 @@ class Tensor:
         return log(self)
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+def _wrap(x, like):
+    """`x` as a Tensor; a constant takes the dtype of the Tensor `like` it
+    meets, so a float32 operand is not promoted by a float64 constant."""
+    return x if isinstance(x, Tensor) else Tensor(
+        np.asarray(x, dtype=like.data.dtype))
 
 
 def _node(data, parents, backprop):
@@ -151,7 +160,12 @@ def _node(data, parents, backprop):
     return out
 
 
+def _unwound(g):
+    raise UsageError("backward() already ran through this node")
+
+
 def _toposort(root):
+    """The nodes that lead to `root`, each after all of its parents."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -165,7 +179,7 @@ def _toposort(root):
         for p in node._parents:
             if p.requires_grad:
                 stack.append((p, False))
-    return order[::-1]
+    return order
 
 
 def _unbroadcast(grad, shape):
@@ -270,16 +284,14 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def tmean(a, axis=None, keepdims=False):
-    count = a.data.size if axis is None else np.prod(
-        [a.shape[i] for i in np.atleast_1d(axis)]
-    )
-    return mul_scalar(tsum(a, axis, keepdims), 1.0 / count)
+    total = tsum(a, axis, keepdims)
+    return mul_scalar(total, total.data.size / a.data.size)
 
 
 def tmax(a, axis, keepdims=False):
     out_data = a.data.max(axis=axis, keepdims=True)
     mask = a.data == out_data
-    counts = mask.sum(axis=axis, keepdims=True)
+    counts = mask.sum(axis=axis, keepdims=True, dtype=a.data.dtype)
 
     def backprop(g):
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -353,7 +365,7 @@ def conv2d(x, w, bias, padding="same"):
     out = (np.matmul(w2, cols) + bias.data.reshape(o, 1)).reshape(n, o, ho, wo)
 
     def backprop(g):
-        gflat = g.reshape(n, o, ho * wo).astype(cols.dtype, copy=False)
+        gflat = g.reshape(n, o, ho * wo)
         gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         gb = gflat.sum(axis=(0, 2))
         gcols = np.matmul(w2.T, gflat).reshape(n, c, kh, kw, ho, wo)
@@ -447,6 +459,7 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
         running_var += momentum * var.data.reshape(c)
         xhat = (x - mu) * (var + eps) ** -0.5
     else:
+        # the float64 running stats take x's dtype where they meet it
         mu = running_mean.reshape(shape)
         inv = 1.0 / np.sqrt(running_var.reshape(shape) + eps)
         xhat = (x - mu) * inv
@@ -476,8 +489,7 @@ def dropout(x, p, training, rng=None):
         return x
     if rng is None:
         raise InvalidInputError("training-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+    return x * ((rng.random(x.shape) >= p) / (1.0 - p))
 
 
 def multi_head_attention(x, wq, wk, wv, wo, heads):

@@ -66,8 +66,8 @@ def kl_loss(y, y_hat, params=(), l2_lambda=0.0):
     mask = y > 0
     y_log_y = float(np.sum(y[mask] * np.log(y[mask])))  # 0·log 0 -> 0
     clamped = ad.clip_min(y_hat, PRED_FLOOR)
-    cross = ad.tsum(Tensor(y * mask) * ad.log(clamped))
-    loss = Tensor(np.float64(y_log_y)) - cross
+    cross = ad.tsum(ad.log(clamped) * (y * mask))
+    loss = y_log_y - cross
     for p in params:
         loss = loss + ad.tsum(p * p) * (l2_lambda / 2.0)
     return loss
@@ -92,13 +92,12 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            g = g.astype(p.data.dtype, copy=False)
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             update = (self.m[name] / bias1) / (
                 np.sqrt(self.v[name] / bias2) + self.eps
             )
-            p.data = p.data - (self.lr * update).astype(p.data.dtype)
+            p.data = p.data - self.lr * update
 
 
 def train_step(model, batch, labels, optimizer, l2_lambda):

@@ -303,10 +303,70 @@ class TestBackward:
         with pytest.raises(UsageError):
             loss.backward()
 
+    def test_backward_through_an_unwound_node_rejected(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        shared = x * x
+        ad.tsum(shared).backward()
+        with pytest.raises(UsageError):
+            ad.tsum(shared * 2.0).backward()
+
     def test_nonscalar_backward_rejected(self):
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(InvalidInputError):
             (x * x).backward()
+
+
+class TestDtypeFollowsOperand:
+    """A constant takes the dtype of the Tensor it meets: float32 operands
+    stay float32, float64 operands stay float64, forward and backward."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 1e-5,
+        lambda x: x - 0.5,
+        lambda x: 0.5 - x,
+        lambda x: x * np.asarray(2.0),
+        lambda x: x / 3.0,
+    ], ids=["add", "sub", "rsub", "mul", "div"])
+    def test_scalar_arithmetic(self, op, dtype):
+        x = Tensor(np.ones((2, 3), dtype=dtype), requires_grad=True)
+        out = op(x)
+        ad.tsum(out).backward()
+        assert out.data.dtype == dtype
+        assert x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mean_over_axes(self, dtype):
+        x = Tensor(np.ones((2, 3, 4), dtype=dtype))
+        assert ad.tmean(x, axis=(0, 2)).data.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_max_backward(self, dtype):
+        x = Tensor(np.array([[1.0, 3.0, 3.0]], dtype=dtype),
+                   requires_grad=True)
+        ad.tsum(ad.tmax(x, axis=1)).backward()
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, [[0.0, 0.5, 0.5]])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_dropout_mask(self, dtype):
+        x = Tensor(np.ones((4, 4), dtype=dtype))
+        out = ad.dropout(x, 0.5, True, np.random.default_rng(0))
+        assert out.data.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_eval_batch_norm_casts_float64_buffers(self, dtype):
+        x = Tensor(np.array([3.0, 5.0], dtype=dtype).reshape(2, 1, 1, 1))
+        rm, rv = np.array([4.0]), np.array([4.0])
+        out = ad.batch_norm(x, Tensor(np.array([2.0], dtype=dtype)),
+                            Tensor(np.array([1.0], dtype=dtype)), rm, rv,
+                            training=False).data
+        assert out.dtype == dtype
+        assert rm.dtype == rv.dtype == np.float64
+        expected = (np.array([3.0, 5.0]) - 4.0) / np.sqrt(4.0 + 1e-5) * 2 + 1
+        assert np.allclose(out.reshape(-1), expected, rtol=1e-6)
 
 
 class TestGradCheck:

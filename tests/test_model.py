@@ -4,7 +4,7 @@ import pytest
 from lungsound import autodiff as ad
 from lungsound import model as md
 from lungsound.autodiff import Tensor
-from lungsound.errors import InvalidConfigError, InvalidInputError
+from lungsound.errors import InvalidConfigError, InvalidInputError, UsageError
 
 
 def tiny_config(**kw):
@@ -203,6 +203,21 @@ class TestParameterAccounting:
         model.zero_grad()
         for p in model.parameters().values():
             assert not np.any(p.grad)
+
+
+class TestTapeRelease:
+    def test_backward_frees_every_interior_node(self):
+        model = md.RespiratoryClassifier(tiny_config(dropout=0.5), seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 1, 16, 32))
+        loss = ad.tsum(model(x, training=True, rng=np.random.default_rng(1)))
+        interior = [n for n in ad._toposort(loss) if n._parents]
+        assert len(interior) > 100
+        loss.backward()
+        for node in interior:
+            assert node._parents == ()
+            assert node._backprop is ad._unwound
+        with pytest.raises(UsageError):
+            loss.backward()
 
 
 class TestEndToEndGradient:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from lungsound import autodiff as ad
 from lungsound import training as tr
 from lungsound.augment import AugmentConfig, LabeledSpectrogram
 from lungsound.autodiff import Tensor
@@ -104,6 +105,15 @@ class TestKLLoss:
         with pytest.raises(InvalidInputError):
             tr.kl_loss(np.ones((1, 2)) / 2, Tensor(np.ones((2, 2)) / 2))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_seed_follow_prediction_dtype(self, dtype):
+        y = np.array([[0.2, 0.8], [1.0, 0.0]])  # float64 labels
+        y_hat = Tensor(np.array([[0.5, 0.5], [0.9, 0.1]], dtype=dtype),
+                       requires_grad=True)
+        loss = tr.kl_loss(y, y_hat)
+        loss.backward()
+        assert loss.data.dtype == y_hat.grad.dtype == dtype
+
 
 class TestRegularizedParameters:
     def test_selects_weights_not_biases_or_norms(self):
@@ -164,6 +174,42 @@ class TestAdam:
             ]
             traces.append(trace)
         assert traces[0] == traces[1]
+
+
+class TestDtypeDiscipline:
+    """One training step (dropout, float64 labels, L2) and one eval forward
+    at the criterion-6 geometry compute, tape and differentiate in the
+    model's dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_array_leaves_the_model_dtype(self, dtype, monkeypatch):
+        outputs = []
+        node = ad._node
+
+        def recording_node(data, parents, backprop):
+            outputs.append(np.asarray(data).dtype)
+            return node(data, parents, backprop)
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        cfg = ModelConfig(
+            input_dims=(118, 118), n_classes=7, doub_inc_channels=8,
+            inc_res_channels=(12, 16), attn_heads=2, attn_key_dim=8,
+            fc_hidden=64, dropout=0.2,
+        )
+        model = RespiratoryClassifier(cfg, seed=0, dtype=dtype)
+        model._dropout_rng = np.random.default_rng(0)
+        opt = tr.Adam(model.parameters(), lr=1e-3)
+        batch = np.random.default_rng(1).standard_normal((3, 1, 118, 118))
+        tr.train_step(model, batch, np.eye(7)[:3], opt, l2_lambda=1e-4)
+        with ad.no_grad():
+            model.forward(batch, training=False)
+
+        assert outputs and set(outputs) == {np.dtype(dtype)}
+        for name, p in model.parameters().items():
+            assert p.data.dtype == p.grad.dtype == dtype, name
+            assert opt.m[name].dtype == opt.v[name].dtype == dtype, name
+        for name, b in model.named_buffers():
+            assert b.dtype == np.float64, name
 
 
 class TestFit:

@@ -19,7 +19,7 @@ import numpy as np
 from . import data, dsp
 from .augment import LabeledSpectrogram
 from .config import load_run_config
-from .errors import LungsoundError
+from .errors import InvalidConfigError, LungsoundError
 from .evaluation import TASKS, evaluate_predictions
 from .model import RespiratoryClassifier
 from .training import fit, load_checkpoint, predict, write_history_csv
@@ -29,44 +29,51 @@ def _feature_dir(out, family, size, level):
     return os.path.join(out, "features", f"{family}_{size[0]}x{size[1]}_{level}")
 
 
-def _iter_samples(manifest, level):
-    """Yield (sample_id, clip_loader, raw_label, split) per event/recording."""
-    for entry in manifest.entries:
-        ann = manifest.load_annotation(entry)
-        if level == "record":
-            yield ann.recording_id, (entry, None), ann.record_label, entry.split
-        else:
-            for k, (onset, offset, label) in enumerate(ann.events):
-                sample_id = f"{ann.recording_id}_e{k}"
-                yield sample_id, (entry, k), label, entry.split
+# clips of each level are tiled to one duration before the CWT
+_LEVEL_SECONDS = {"event": dsp.EVENT_SECONDS, "record": dsp.RECORD_SECONDS}
 
 
-def _load_clip(manifest, handle):
-    entry, event_idx = handle
-    clip = manifest.load_audio(entry)
-    if event_idx is None:
-        return clip
-    ann = manifest.load_annotation(entry)
-    return data.segment_events(clip, ann)[event_idx][0]
+def _sample_ids(ann, level):
+    """(sample_id, raw_label) per event, or for the whole recording."""
+    if level == "record":
+        return [(ann.recording_id, ann.record_label)]
+    return [(f"{ann.recording_id}_e{k}", label)
+            for k, (_, _, label) in enumerate(ann.events)]
+
+
+def _clips(manifest, entry, ann, level):
+    """The clips of one recording, in `_sample_ids` order."""
+    audio = manifest.load_audio(entry)
+    if level == "record":
+        return [audio]
+    return [clip for clip, _ in data.segment_events(audio, ann)]
 
 
 def extract_features(manifest, wavelet, size, level, feature_dir):
-    """Compute (or reuse) one cache file per sample; returns the index."""
+    """Compute (or reuse) one cache file per sample; returns the index.
+    Each recording and its annotation are read at most once."""
+    if level not in _LEVEL_SECONDS:
+        raise InvalidConfigError(
+            f"unknown extraction level {level!r}; expected one of "
+            f"{', '.join(_LEVEL_SECONDS)}")
     os.makedirs(feature_dir, exist_ok=True)
-    target_s = dsp.EVENT_SECONDS if level == "event" else dsp.RECORD_SECONDS
     index = {"wavelet": wavelet.family, "size": list(size), "level": level,
              "samples": []}
-    for sample_id, handle, raw_label, split in _iter_samples(manifest, level):
-        cache = os.path.join(feature_dir, f"{sample_id}.lssg")
-        if not os.path.exists(cache):
-            clip = _load_clip(manifest, handle)
-            spec = dsp.extract_spectrogram(clip, wavelet, size[0], size[1],
-                                           target_s)
-            dsp.save_spectrogram(cache, spec)
-        index["samples"].append(
-            {"id": sample_id, "cache": os.path.basename(cache),
-             "label": raw_label, "split": split}
-        )
+    for entry in manifest.entries:
+        ann = manifest.load_annotation(entry)
+        clips = None  # decoded when the first missing cache needs it
+        for k, (sample_id, raw_label) in enumerate(_sample_ids(ann, level)):
+            cache = os.path.join(feature_dir, f"{sample_id}.lssg")
+            if not os.path.exists(cache):
+                if clips is None:
+                    clips = _clips(manifest, entry, ann, level)
+                spec = dsp.extract_spectrogram(clips[k], wavelet, size[0],
+                                               size[1], _LEVEL_SECONDS[level])
+                dsp.save_spectrogram(cache, spec)
+            index["samples"].append(
+                {"id": sample_id, "cache": os.path.basename(cache),
+                 "label": raw_label, "split": entry.split}
+            )
     index["samples"].sort(key=lambda s: s["id"])
     with open(os.path.join(feature_dir, "index.json"), "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
@@ -129,8 +136,6 @@ def cmd_extract(args):
     )
     manifest = data.DatasetManifest.load(args.manifest)
     for level in args.levels.split(","):
-        if level not in ("event", "record"):
-            raise LungsoundError(f"unknown extraction level {level!r}")
         fdir = _feature_dir(args.out, cfg.wavelet.family, cfg.size, level)
         index = extract_features(manifest, cfg.wavelet, cfg.size, level, fdir)
         print(f"{len(index['samples'])} {level} spectrograms in {fdir}")

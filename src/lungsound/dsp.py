@@ -8,12 +8,14 @@ mother wavelets, dB compression, bilinear resize.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 from scipy import signal
 
 from .errors import FormatError, InvalidConfigError, InvalidInputError
@@ -219,9 +221,43 @@ def _pad_signal(x):
     return np.pad(x, (left, right), mode="reflect"), left
 
 
-def cwt(clip, spec, grid):
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_FFT_WORKERS = _usable_cpus()
+# rows per batched inverse FFT; bounds the complex work buffer to
+# 16 x P x 16 B (67 MB at record level) instead of F x P
+_IFFT_ROWS = 16
+
+
+# two banks: one wavelet at event and record level. A Morse or Amor bank
+# holds ~100 MB at record level (bump: ~10 MB)
+@functools.lru_cache(maxsize=2)
+def _filter_bank(spec, scales, p):
+    """Per-scale wavelet responses over the P FFT bins, each kept only over
+    its nonzero support as (lo, hi, response[lo:hi]). `scales` is the scale
+    array's bytes, so the key is hashable; every clip of a level has one
+    padded length, so one bank serves them all."""
+    omega = 2.0 * np.pi * np.fft.fftfreq(p)
+    bank = []
+    for s in np.frombuffer(scales, dtype=np.float64):
+        response = spec.freq_response(s * omega)
+        support = np.flatnonzero(response)
+        lo, hi = (support[0], support[-1] + 1) if support.size else (0, 0)
+        response = response[lo:hi].copy()
+        response.flags.writeable = False  # shared by every cached caller
+        bank.append((lo, hi, response))
+    return tuple(bank)
+
+
+def cwt(clip, spec, grid, columns=None):
     """FFT-based CWT; row i is the cross-correlation of the signal with the
-    conjugate wavelet at grid.scales[i]. Output is complex, len(grid)×N."""
+    conjugate wavelet at grid.scales[i]. Output is complex, len(grid)×N, or
+    len(grid)×len(columns) holding only those sample columns."""
     x = clip.samples
     if x.size < 2:
         raise InvalidInputError("cwt needs at least two samples")
@@ -232,13 +268,28 @@ def cwt(clip, spec, grid):
         raise InvalidConfigError(
             f"scale {max_scale:.1f} has support beyond the padded signal ({p})"
         )
-    omega = 2.0 * np.pi * np.fft.fftfreq(p)
+    if columns is None:
+        keep = slice(left, left + x.size)
+        n_keep = x.size
+    else:
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.ndim != 1 or np.any((columns < 0) | (columns >= x.size)):
+            raise InvalidInputError("columns must index the signal's samples")
+        keep = left + columns
+        n_keep = columns.size
     xf = np.fft.fft(xp)
-    out = np.empty((len(grid), x.size), dtype=np.complex128)
-    for i, s in enumerate(grid.scales):
-        psi_hat = spec.freq_response(s * omega)
-        row = np.fft.ifft(xf * np.conj(psi_hat))
-        out[i] = row[left : left + x.size]
+    bank = _filter_bank(spec, grid.scales.tobytes(), p)
+    out = np.empty((len(grid), n_keep), dtype=np.complex128)
+    for start in range(0, len(bank), _IFFT_ROWS):
+        rows = bank[start : start + _IFFT_ROWS]
+        # the responses are real: over each support this is
+        # xf * conj(psi_hat) bit for bit, and outside it both are zero
+        prod = np.zeros((len(rows), p), dtype=np.complex128)
+        for k, (lo, hi, response) in enumerate(rows):
+            np.multiply(xf[lo:hi], response, out=prod[k, lo:hi])
+        prod = scipy.fft.ifft(prod, axis=1, overwrite_x=True,
+                              workers=_FFT_WORKERS)
+        out[start : start + len(rows)] = prod[:, keep]
     return out
 
 
@@ -250,27 +301,58 @@ def log_magnitude(coeffs):
     return Spectrogram(values=20.0 * np.log10(np.abs(coeffs) + LOG_EPS))
 
 
-def resize(spec, f_out, t_out):
-    """Bilinear resize with corner alignment; exact copy at the native size."""
+def resize(spec, f_out, t_out, native_frames=None):
+    """Bilinear resize with corner alignment; exact copy at the native size.
+
+    With `native_frames`, `spec` holds only the columns
+    `resize_columns(native_frames, t_out)` of a scalogram that many frames
+    wide, which are all the time axis reads."""
     if f_out < 2 or t_out < 2:
         raise InvalidInputError("resize targets must be >= 2")
     v = spec.values.astype(np.float64)
     v = _interp_axis(v, f_out, axis=0)
-    v = _interp_axis(v, t_out, axis=1)
+    v = _interp_axis(v, t_out, axis=1, n_in=native_frames)
     return Spectrogram(values=v)
 
 
-def _interp_axis(v, n_out, axis):
-    n_in = v.shape[axis]
+def resize_columns(n_in, n_out):
+    """Ascending indices of the n_in native columns that resizing the time
+    axis to n_out frames reads."""
+    if n_out < 2:
+        raise InvalidInputError("resize targets must be >= 2")
+    if n_in in (1, n_out):
+        return np.arange(n_in)
+    i0, _ = _taps(n_in, n_out)
+    return np.union1d(i0, i0 + 1)
+
+
+def _taps(n_in, n_out):
+    """Output j of the corner-aligned interpolation reads inputs i0[j] and
+    i0[j] + 1, with weight frac[j] on the second."""
+    pos = np.linspace(0.0, n_in - 1.0, n_out)
+    i0 = np.minimum(pos.astype(int), n_in - 2)
+    return i0, pos - i0
+
+
+def _interp_axis(v, n_out, axis, n_in=None):
+    """Interpolate `v` along `axis` to n_out points. With `n_in`, `v` holds
+    only the entries `resize_columns(n_in, n_out)` of an n_in-long axis."""
+    held = None if n_in is None else resize_columns(n_in, n_out)
+    if held is not None and v.shape[axis] != held.size:
+        raise InvalidInputError(
+            f"expected the {held.size} columns that resizing {n_in} to "
+            f"{n_out} reads, got {v.shape[axis]}")
+    n_in = v.shape[axis] if n_in is None else n_in
     if n_in == n_out:
         return v
     if n_in == 1:
         return np.repeat(v, n_out, axis=axis)
-    pos = np.linspace(0.0, n_in - 1.0, n_out)
-    i0 = np.minimum(pos.astype(int), n_in - 2)
-    frac = pos - i0
+    i0, frac = _taps(n_in, n_out)
+    i1 = i0 + 1
+    if held is not None:
+        i0, i1 = np.searchsorted(held, i0), np.searchsorted(held, i1)
     lo = np.take(v, i0, axis=axis)
-    hi = np.take(v, i0 + 1, axis=axis)
+    hi = np.take(v, i1, axis=axis)
     shape = [1, 1]
     shape[axis] = n_out
     frac = frac.reshape(shape)
@@ -279,13 +361,16 @@ def _interp_axis(v, n_out, axis):
 
 def extract_spectrogram(clip, wavelet, f_bins, t_frames,
                         target_seconds, target_rate=TARGET_RATE):
-    """Full front-end chain for one clip."""
+    """Full front-end chain for one clip. The CWT and the dB compression
+    run only at the native columns the resize reads; the result equals
+    resize(log_magnitude(cwt(clip, wavelet, grid)), f_bins, t_frames)."""
     clip = resample(clip, target_rate)
     clip = tile_to_duration(clip, target_seconds)
     clip = bandpass(clip, FREQ_LO_HZ, FREQ_HI_HZ)
     grid = make_scale_grid(wavelet, f_bins, clip.sample_rate)
-    coeffs = cwt(clip, wavelet, grid)
-    return resize(log_magnitude(coeffs), f_bins, t_frames)
+    n = clip.samples.size
+    coeffs = cwt(clip, wavelet, grid, columns=resize_columns(n, t_frames))
+    return resize(log_magnitude(coeffs), f_bins, t_frames, native_frames=n)
 
 
 # -- spectrogram cache ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the program against."""
 
 import numpy as np
+import scipy.fft
 
 from lungsound.autodiff import Tensor
 from lungsound.dsp import _pad_signal
@@ -47,5 +48,19 @@ def cwt_direct(clip, spec, grid):
     for i, s in enumerate(grid.scales):
         kernel = np.fft.ifft(spec.freq_response(s * omega))
         row = np.conj(kernel)[idx] @ xp
+        out[i] = row[left : left + x.size]
+    return out
+
+
+def cwt_dense(clip, spec, grid):
+    """`dsp.cwt` as one full-length product and inverse FFT per row, with
+    the filter bank rebuilt on every call."""
+    x = clip.samples
+    xp, left = _pad_signal(x)
+    omega = 2.0 * np.pi * np.fft.fftfreq(xp.size)
+    xf = np.fft.fft(xp)
+    out = np.empty((len(grid), x.size), dtype=np.complex128)
+    for i, s in enumerate(grid.scales):
+        row = scipy.fft.ifft(xf * np.conj(spec.freq_response(s * omega)))
         out[i] = row[left : left + x.size]
     return out

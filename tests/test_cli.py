@@ -6,8 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from lungsound import cli, data
 from lungsound.cli import main
-from lungsound.dsp import load_spectrogram
+from lungsound.dsp import WaveletSpec, load_spectrogram
+from lungsound.errors import InvalidConfigError
 from lungsound.model import RespiratoryClassifier
 
 TINY_CONFIG = """
@@ -102,6 +104,47 @@ class TestExtractCommand:
                      "--out", workspace["out"], "--levels", "bogus"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestExtractFeatures:
+    def manifest(self, synth_dataset, n=3):
+        return data.DatasetManifest(root=synth_dataset.root,
+                                    entries=synth_dataset.entries[:n])
+
+    def test_each_recording_decoded_once(self, synth_dataset, tmp_path,
+                                         monkeypatch):
+        calls = {"wav": 0, "annotation": 0}
+        load_wav = data.load_wav
+        load_annotation = data.DatasetManifest.load_annotation
+
+        def counted_wav(path):
+            calls["wav"] += 1
+            return load_wav(path)
+
+        def counted_annotation(self, entry):
+            calls["annotation"] += 1
+            return load_annotation(self, entry)
+
+        monkeypatch.setattr(data, "load_wav", counted_wav)
+        monkeypatch.setattr(data.DatasetManifest, "load_annotation",
+                            counted_annotation)
+        manifest = self.manifest(synth_dataset)
+        fdir = str(tmp_path / "f")
+        index = cli.extract_features(manifest, WaveletSpec(), (8, 16),
+                                     "event", fdir)
+        assert len(index["samples"]) == 6  # 3 recordings x 2 events
+        assert calls == {"wav": 3, "annotation": 3}
+        # a rerun finds every cache and decodes no audio
+        cli.extract_features(manifest, WaveletSpec(), (8, 16), "event", fdir)
+        assert calls == {"wav": 3, "annotation": 6}
+
+    @pytest.mark.parametrize("level", ["Event", "records", ""])
+    def test_unknown_level_rejected(self, synth_dataset, tmp_path, level):
+        fdir = tmp_path / "f"
+        with pytest.raises(InvalidConfigError, match=repr(level)):
+            cli.extract_features(self.manifest(synth_dataset), WaveletSpec(),
+                                 (8, 16), level, str(fdir))
+        assert not fdir.exists()
 
 
 class TestTrainCommand:

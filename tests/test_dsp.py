@@ -6,7 +6,7 @@ from scipy import signal
 
 from lungsound import dsp
 from lungsound.errors import FormatError, InvalidConfigError, InvalidInputError
-from oracles import cwt_direct
+from oracles import cwt_dense, cwt_direct
 
 
 def tone(freq, rate, seconds=1.0, amp=1.0):
@@ -185,6 +185,72 @@ class TestCwt:
         with pytest.raises(InvalidConfigError):
             dsp.cwt(dsp.AudioClip(np.ones(64), 4000), spec, grid)
 
+    @pytest.mark.parametrize("family", dsp.WaveletSpec.FAMILIES)
+    def test_equals_dense_per_row_transform(self, family):
+        # band-limited products in batches of rows: same arithmetic per bin
+        spec = dsp.WaveletSpec(family=family)
+        clip = dsp.AudioClip(np.random.default_rng(16).standard_normal(4000),
+                             4000)
+        grid = dsp.make_scale_grid(spec, 20, 4000)
+        assert np.array_equal(dsp.cwt(clip, spec, grid),
+                              cwt_dense(clip, spec, grid))
+
+    def test_columns_are_a_gather_of_the_full_transform(self):
+        spec = dsp.WaveletSpec(family="bump")
+        clip = dsp.AudioClip(np.random.default_rng(10).standard_normal(300),
+                             4000)
+        grid = self.grid(spec, n=20)  # more rows than one inverse-FFT batch
+        full = dsp.cwt(clip, spec, grid)
+        for cols in ([0, 299], [5, 6, 7, 150, 298], []):
+            part = dsp.cwt(clip, spec, grid, columns=cols)
+            assert part.tobytes() == full[:, cols].tobytes()
+
+    @pytest.mark.parametrize("cols", [[-1], [300], [[1, 2]]])
+    def test_columns_outside_the_signal_rejected(self, cols):
+        spec = dsp.WaveletSpec(family="bump")
+        clip = dsp.AudioClip(np.ones(300), 4000)
+        with pytest.raises(InvalidInputError):
+            dsp.cwt(clip, spec, self.grid(spec), columns=cols)
+
+    def test_row_with_empty_support_is_zero(self):
+        # bump support at scale 0.5 is 8.8..11.2 rad/sample, above Nyquist
+        spec = dsp.WaveletSpec(family="bump")
+        grid = dsp.ScaleGrid(scales=np.array([0.5, 2.0]),
+                             center_freqs=np.array([2000.0, 1500.0]))
+        clip = dsp.AudioClip(np.random.default_rng(11).standard_normal(128),
+                             4000)
+        coeffs = dsp.cwt(clip, spec, grid)
+        slow = cwt_direct(clip, spec, grid)
+        assert np.all(coeffs[0] == 0)
+        assert np.max(np.abs(coeffs - slow)) / np.max(np.abs(slow)) < 1e-6
+
+    def test_filter_bank_built_once_per_level(self, monkeypatch):
+        calls = []
+        freq_response = dsp.WaveletSpec.freq_response
+
+        def counted(self, omega):
+            calls.append(1)
+            return freq_response(self, omega)
+
+        monkeypatch.setattr(dsp.WaveletSpec, "freq_response", counted)
+        dsp._filter_bank.cache_clear()
+        rng = np.random.default_rng(12)
+        spec = dsp.WaveletSpec(family="bump")
+        for n in (3000, 5000):  # both tiled to 2 s
+            clip = dsp.AudioClip(rng.standard_normal(n), 4000)
+            dsp.extract_spectrogram(clip, spec, 24, 32, 2.0)
+        assert len(calls) == 24
+
+    def test_fft_worker_count_does_not_change_output(self, monkeypatch):
+        clip = dsp.AudioClip(np.random.default_rng(13).standard_normal(6000),
+                             4000)
+        spec = dsp.WaveletSpec(family="morse")
+        out = []
+        for workers in (1, 2):
+            monkeypatch.setattr(dsp, "_FFT_WORKERS", workers)
+            out.append(dsp.extract_spectrogram(clip, spec, 40, 64, 2.0))
+        assert out[0].values.tobytes() == out[1].values.tobytes()
+
 
 class TestLogMagnitude:
     def test_unit_magnitude(self):
@@ -218,6 +284,11 @@ class TestResize:
         out = dsp.resize(spec, 128, 512)
         assert (out.freq_bins, out.time_frames) == (128, 512)
 
+    def test_columns_must_match_native_frames(self):
+        spec = dsp.Spectrogram(values=np.zeros((4, 5)))
+        with pytest.raises(InvalidInputError):
+            dsp.resize(spec, 4, 8, native_frames=100)
+
     def test_idempotent_at_native_size(self):
         rng = np.random.default_rng(6)
         spec = dsp.Spectrogram(values=rng.standard_normal((16, 20)))
@@ -234,6 +305,29 @@ class TestPipeline:
         b = dsp.extract_spectrogram(clip, w, 32, 64, 2.0)
         assert np.array_equal(a.values, b.values)
         assert (a.freq_bins, a.time_frames) == (32, 64)
+
+    @pytest.mark.parametrize("family", dsp.WaveletSpec.FAMILIES)
+    @pytest.mark.parametrize("seconds", [1.024, 2.0])  # 4096 and 8000 samples
+    def test_equals_the_full_chain(self, family, seconds):
+        rng = np.random.default_rng(14)
+        clip = dsp.AudioClip(rng.standard_normal(5000), 8000)
+        w = dsp.WaveletSpec(family=family)
+        fast = dsp.extract_spectrogram(clip, w, 30, 70, seconds)
+        c = dsp.bandpass(dsp.tile_to_duration(dsp.resample(clip, 4000),
+                                              seconds))
+        grid = dsp.make_scale_grid(w, 30, c.sample_rate)
+        full = dsp.resize(dsp.log_magnitude(dsp.cwt(c, w, grid)), 30, 70)
+        assert fast.values.tobytes() == full.values.tobytes()
+
+    def test_native_width_is_copied(self):
+        clip = dsp.AudioClip(np.random.default_rng(15).standard_normal(400),
+                             4000)
+        w = dsp.WaveletSpec(family="amor")
+        fast = dsp.extract_spectrogram(clip, w, 6, 400, 0.1)
+        grid = dsp.make_scale_grid(w, 6, 4000)
+        c = dsp.bandpass(clip)
+        full = dsp.log_magnitude(dsp.cwt(c, w, grid))
+        assert fast.values.tobytes() == full.values.tobytes()
 
 
 class TestCacheFormat:

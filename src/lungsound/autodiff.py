@@ -6,13 +6,13 @@ accumulates gradients into every ``requires_grad`` leaf and frees the tape
 behind it, so a graph is differentiated once. Constants take the dtype of
 the Tensor they meet. Only the primitives needed by the network are
 implemented: elementwise arithmetic, matmul, reductions, 2-d
-convolution/pooling, normalizations, dropout and attention.
+convolution (one node for a sum of parallel kernels), 2×2 pooling,
+normalizations, dropout and attention.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidConfigError, InvalidInputError, UsageError
 
@@ -236,14 +236,17 @@ def log(a):
 
 
 def relu(a):
-    mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    """max(a, 0); a NaN stays NaN. The gradient mask is taken from the
+    output, which is positive exactly where the input is."""
+    out = np.maximum(a.data, 0)
+    return _node(out, (a,), lambda g: (g * (out > 0),))
 
 
 def clip_min(a, floor):
-    """max(a, floor); gradient is zero in the clamped region."""
+    """max(a, floor); gradient is zero in the clamped region. A NaN stays
+    NaN."""
     mask = a.data > floor
-    return _node(np.where(mask, a.data, floor), (a,), lambda g: (g * mask,))
+    return _node(np.maximum(a.data, floor), (a,), lambda g: (g * mask,))
 
 
 # -- shape primitives ---------------------------------------------------------
@@ -336,90 +339,137 @@ def _same_pad(k):
 def conv2d(x, w, bias, padding="same"):
     """2-d cross-correlation, stride 1, over N×C×F×T input.
 
-    w is O×C×Kf×Kt; bias is O. "same" preserves the spatial dims.
+    w is O×C×Kf×Kt; bias is O, or None for none. "same" preserves the
+    spatial dims.
     """
-    if x.ndim != 4 or w.ndim != 4:
+    return conv2d_sum(x, [w], [] if bias is None else [bias], padding)
+
+
+def conv2d_sum(x, weights, biases, padding="same"):
+    """Sum of stride-1 cross-correlations of x with each O×C×Kf×Kt kernel
+    in `weights`, plus each O-vector in `biases`, as one node.
+
+    Under "same" padding the kernels' taps sit at offsets from the output
+    position; one im2col over the union of those offsets and one GEMM
+    against the per-offset sum of the kernels' weights gives the sum of the
+    separate convolutions. Each kernel's gradient is its own taps' slice of
+    the merged weight gradient.
+    """
+    if x.ndim != 4 or not weights or any(w.ndim != 4 for w in weights):
         raise InvalidInputError("conv2d expects 4-d input and kernel")
-    n, c, h, wd = x.shape
-    o, cw, kh, kw = w.shape
-    if cw != c:
-        raise InvalidInputError(f"channel mismatch: input {c}, kernel {cw}")
-    if padding == "same":
-        ph = _same_pad(kh)
-        pw = _same_pad(kw)
-    elif padding == "valid":
-        ph = pw = (0, 0)
-    else:
+    if padding not in ("same", "valid"):
         raise InvalidConfigError(f"unknown padding {padding!r}")
-    if h + ph[0] + ph[1] < kh or wd + pw[0] + pw[1] < kw:
+    n, c, h, wd = x.shape
+    o = weights[0].shape[0]
+    offsets, out_dims = [], set()
+    for w in weights:
+        ow, cw, kh, kw = w.shape
+        if cw != c:
+            raise InvalidInputError(f"channel mismatch: input {c}, kernel {cw}")
+        if ow != o:
+            raise InvalidInputError(f"kernels disagree on outputs: {o} vs {ow}")
+        ph, pw = ((_same_pad(kh), _same_pad(kw)) if padding == "same"
+                  else ((0, 0), (0, 0)))
+        out_dims.add((h + sum(ph) - kh + 1, wd + sum(pw) - kw + 1))
+        offsets.append([(i - ph[0], j - pw[0])
+                        for i in range(kh) for j in range(kw)])
+    if len(out_dims) != 1:
+        raise InvalidInputError(f"kernels give different output sizes {out_dims}")
+    ho, wo = out_dims.pop()
+    if ho < 1 or wo < 1:
         raise InvalidInputError("kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
-    ho = xp.shape[2] - kh + 1
-    wo = xp.shape[3] - kw + 1
-    s = xp.strides
-    cols = as_strided(
-        xp, (n, c, kh, kw, ho, wo), (s[0], s[1], s[2], s[3], s[2], s[3])
-    ).reshape(n, c * kh * kw, ho * wo)
-    w2 = w.data.reshape(o, c * kh * kw)
-    out = (np.matmul(w2, cols) + bias.data.reshape(o, 1)).reshape(n, o, ho, wo)
+    # row-major union of the taps; a lone kernel keeps its own tap order
+    taps = sorted(set().union(*offsets))
+    where = {tap: t for t, tap in enumerate(taps)}
+    slots = [[where[tap] for tap in offs] for offs in offsets]
+    top = -min(dy for dy, _ in taps)
+    left = -min(dx for _, dx in taps)
+    bottom = ho - h + max(dy for dy, _ in taps)
+    right = wo - wd + max(dx for _, dx in taps)
+
+    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
+    windows = [(slice(top + dy, top + dy + ho), slice(left + dx, left + dx + wo))
+               for dy, dx in taps]
+    cols = np.empty((n, c, len(taps), ho, wo), dtype=xp.dtype)
+    for t, (rows, columns) in enumerate(windows):
+        cols[:, :, t] = xp[:, :, rows, columns]
+    cols = cols.reshape(n, c * len(taps), ho * wo)
+    merged = np.zeros((o, c, len(taps)), dtype=weights[0].data.dtype)
+    for w, slot in zip(weights, slots):
+        merged[:, :, slot] += w.data.reshape(o, c, -1)
+    w2 = merged.reshape(o, c * len(taps))
+    out = np.matmul(w2, cols)
+    if biases:
+        out += sum(b.data for b in biases).reshape(o, 1)
+    xp_shape = xp.shape  # the closure keeps cols, not the padded input
 
     def backprop(g):
         gflat = g.reshape(n, o, ho * wo)
-        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
+        gw = gw.reshape(o, c, len(taps))
+        gws = [gw[:, :, slot].reshape(w.shape) for w, slot in zip(weights, slots)]
         gb = gflat.sum(axis=(0, 2))
-        gcols = np.matmul(w2.T, gflat).reshape(n, c, kh, kw, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
-        gx = gxp[:, :, ph[0] : ph[0] + h, pw[0] : pw[0] + wd]
-        return gx, gw, gb
+        gbs = [gb.copy() for _ in biases]
+        gx = None
+        if x.requires_grad:
+            gcols = np.matmul(w2.T, gflat).reshape(n, c, len(taps), ho, wo)
+            gxp = np.zeros(xp_shape, dtype=gcols.dtype)
+            for t, (rows, columns) in enumerate(windows):
+                gxp[:, :, rows, columns] += gcols[:, :, t]
+            gx = gxp[:, :, top : top + h, left : left + wd]
+        return (gx, *gws, *gbs)
 
-    return _node(out, (x, w, bias), backprop)
+    return _node(out.reshape(n, o, ho, wo), (x, *weights, *biases), backprop)
 
 
 def pool2d(x, mode, kernel, stride=None):
-    """Window pooling over the two trailing axes; floor division drops
-    remainders at the high edge."""
-    kh, kw = kernel
-    sh, sw = stride if stride is not None else kernel
+    """2×2 pooling with stride 2 over the two trailing axes; an odd last
+    row or column is dropped. Any other kernel or stride is rejected.
+
+    avg sums the window in row-major order, starting from 0 as numpy's
+    mean does, and divides by 4; max passes the gradient to the first
+    maximum in row-major order, as argmax does.
+    """
+    if tuple(kernel) != (2, 2) or (stride is not None
+                                   and tuple(stride) != (2, 2)):
+        raise InvalidConfigError(
+            f"only 2x2 pooling with stride 2 is supported, got {kernel}/{stride}")
     n, c, h, wd = x.shape
-    if kh > h or kw > wd:
+    if h < 2 or wd < 2:
         raise InvalidConfigError(f"pool kernel {kernel} exceeds input {(h, wd)}")
-    ho = (h - kh) // sh + 1
-    wo = (wd - kw) // sw + 1
-    xd = np.ascontiguousarray(x.data)
-    s = xd.strides
-    windows = as_strided(
-        xd,
-        (n, c, ho, wo, kh, kw),
-        (s[0], s[1], s[2] * sh, s[3] * sw, s[2], s[3]),
-    ).reshape(n, c, ho, wo, kh * kw)
+    ho, wo = h // 2, wd // 2
+    # the four window positions as strided views, in row-major order
+    corners = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2))
+               for i in (0, 1) for j in (0, 1)]
+    parts = [x.data[:, :, rows, columns] for rows, columns in corners]
 
     if mode == "avg":
-        out = windows.mean(axis=-1)
+        out = parts[0] + 0.0
+        for part in parts[1:]:
+            out += part
+        out /= 4
 
         def backprop(g):
-            gx = np.zeros_like(xd)
-            gs = g / (kh * kw)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += gs
+            gx = np.zeros(x.shape, dtype=g.dtype)
+            gs = g / 4
+            for rows, columns in corners:
+                gx[:, :, rows, columns] += gs
             return (gx,)
 
     elif mode == "max":
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        out = parts[0].copy()
+        first = np.zeros(out.shape, dtype=np.int8)
+        for k, part in enumerate(parts[1:], 1):
+            # strictly greater, or the first NaN: argmax's choice
+            take = (part > out) | (np.isnan(part) & ~np.isnan(out))
+            out[take] = part[take]
+            first[take] = k
 
         def backprop(g):
-            gx = np.zeros_like(xd)
-            ni, ci, hi, wi = np.indices(idx.shape)
-            np.add.at(
-                gx,
-                (ni, ci, hi * sh + idx // kw, wi * sw + idx % kw),
-                g,
-            )
+            gx = np.zeros(x.shape, dtype=g.dtype)
+            for k, (rows, columns) in enumerate(corners):
+                gx[:, :, rows, columns] += np.where(first == k, g, 0)
             return (gx,)
 
     else:
@@ -439,31 +489,58 @@ def global_max_over(x, axis):
 # -- normalizations ------------------------------------------------------------
 
 
+def _standardize(xd, axes, eps):
+    """(xhat, 1/σ, mean, var) of xd over `axes`, with the biased variance
+    and xhat = (x - mean)·(var + eps)^-½, by the same array expressions,
+    and so to the same bytes, as the tmean/power composite in
+    `instance_norm_freq`."""
+    total = xd.sum(axis=axes, keepdims=True)
+    mu = total * (total.size / xd.size)
+    diff = xd - mu
+    total = (diff ** 2.0).sum(axis=axes, keepdims=True)
+    var = total * (total.size / xd.size)
+    inv = (var + eps) ** -0.5
+    return diff * inv, inv, mu, var
+
+
+def _standardize_grad(g, xhat, inv, axes):
+    """Input gradient of `_standardize` for output gradient g."""
+    return inv * (g - g.mean(axis=axes, keepdims=True)
+                  - xhat * (g * xhat).mean(axis=axes, keepdims=True))
+
+
 def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
                training=True, eps=1e-5):
     """Per-channel batch normalization over an N×C×F×T tensor.
 
     `running_mean`/`running_var` are plain arrays mutated in place during
     training (biased batch variance, convention new = (1-m)·old + m·batch).
+    Training mode is one node.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise InvalidInputError("batch_norm affine parameters must have length C")
     shape = (1, c, 1, 1)
-    if training:
-        mu = tmean(x, axis=(0, 2, 3), keepdims=True)
-        var = tmean((x - mu) ** 2, axis=(0, 2, 3), keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.data.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(c)
-        xhat = (x - mu) * (var + eps) ** -0.5
-    else:
+    if not training:
         # the float64 running stats take x's dtype where they meet it
         mu = running_mean.reshape(shape)
         inv = 1.0 / np.sqrt(running_var.reshape(shape) + eps)
-        xhat = (x - mu) * inv
-    return xhat * gamma.reshape(shape) + beta.reshape(shape)
+        return (x - mu) * inv * gamma.reshape(shape) + beta.reshape(shape)
+
+    axes = (0, 2, 3)
+    xhat, inv, mu, var = _standardize(x.data, axes, eps)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu.reshape(c)
+    running_var *= 1.0 - momentum
+    running_var += momentum * var.reshape(c)
+    scale = gamma.data.reshape(shape)
+
+    def backprop(g):
+        return (_standardize_grad(g * scale, xhat, inv, axes),
+                (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+    return _node(xhat * scale + beta.data.reshape(shape), (x, gamma, beta),
+                 backprop)
 
 
 def instance_norm_freq(x, eps=1e-5):
@@ -471,6 +548,17 @@ def instance_norm_freq(x, eps=1e-5):
     mu = tmean(x, axis=-1, keepdims=True)
     var = tmean((x - mu) ** 2, axis=-1, keepdims=True)
     return (x - mu) * (var + eps) ** -0.5
+
+
+def residual_norm(x, lam, eps=1e-5):
+    """lam·x plus `instance_norm_freq(x)`, as one node."""
+    lam = float(lam)
+    xhat, inv, _, _ = _standardize(x.data, -1, eps)
+
+    def backprop(g):
+        return (g * lam + _standardize_grad(g, xhat, inv, -1),)
+
+    return _node(x.data * lam + xhat, (x,), backprop)
 
 
 # -- stochastic / nonlinear ----------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, residual_norm
 from .errors import InvalidConfigError, InvalidInputError
 
 
@@ -116,14 +116,19 @@ class Module:
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, kh, kw, rng, dtype, padding="same"):
+    """A convolution; `bias=False` for one that feeds a BatchNorm, whose
+    mean subtraction would give a bias an exact gradient of 0."""
+
+    def __init__(self, c_in, c_out, kh, kw, rng, dtype, padding="same",
+                 bias=True):
         fan_in = c_in * kh * kw
         fan_out = c_out * kh * kw
         self.weight = Tensor(
             glorot_uniform(rng, (c_out, c_in, kh, kw), fan_in, fan_out, dtype),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+        self.bias = (Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+                     if bias else None)
         self.padding = padding
 
     def __call__(self, x):
@@ -189,30 +194,28 @@ class MultiHeadAttention(Module):
 
 
 class IncBranches(Module):
-    """Parallel same-padding convolutions with equal widths, summed."""
+    """Parallel same-padding convolutions with equal widths, summed; run as
+    one convolution over the union of their taps."""
 
-    def __init__(self, c_in, c_out, kernels, rng, dtype):
+    def __init__(self, c_in, c_out, kernels, rng, dtype, bias=True):
         self.branches = [
-            Conv2d(c_in, c_out, kh, kw, rng, dtype) for kh, kw in kernels
+            Conv2d(c_in, c_out, kh, kw, rng, dtype, bias=bias)
+            for kh, kw in kernels
         ]
 
     def __call__(self, x):
-        out = self.branches[0](x)
-        for branch in self.branches[1:]:
-            out = out + branch(x)
-        return out
+        return ad.conv2d_sum(
+            x, [b.weight for b in self.branches],
+            [b.bias for b in self.branches if b.bias is not None])
 
 
 def inc01(c_in, c_out, rng, dtype):
-    """Inception block mixing [3x3], [1x1] and [4x1] kernels."""
+    """Inception block mixing [3x3], [1x1] and [4x1] kernels, without
+    biases: a BatchNorm follows it."""
     if c_out <= 0:
         raise InvalidConfigError("channels must be positive")
-    return IncBranches(c_in, c_out, [(3, 3), (1, 1), (4, 1)], rng, dtype)
-
-
-def residual_norm(x, lam):
-    """lam·x plus per-(sample, channel, frequency) normalization over time."""
-    return x * lam + ad.instance_norm_freq(x)
+    return IncBranches(c_in, c_out, [(3, 3), (1, 1), (4, 1)], rng, dtype,
+                       bias=False)
 
 
 class DoubIncBlock(Module):
@@ -245,7 +248,7 @@ class IncResBlock(Module):
                                   rng, dtype)
         self.inc_t = IncBranches(c_in, c_out, [(1, k) for k in t_kernels],
                                  rng, dtype)
-        self.shortcut = Conv2d(c_in, c_out, 1, 1, rng, dtype)
+        self.shortcut = Conv2d(c_in, c_out, 1, 1, rng, dtype, bias=False)
         self.shortcut_bn = BatchNorm2d(c_out, dtype)
         self.rn_lambda = rn_lambda
         self.drop = drop

@@ -22,7 +22,7 @@ from .evaluation import evaluate_predictions
 from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 PRED_FLOOR = 1e-8
 
 HISTORY_COLUMNS = ("epoch", "split", "loss", "SE", "SP", "AS", "HS", "Score")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import as_strided
 
+from lungsound import autodiff as ad
 from lungsound.autodiff import Tensor
 from lungsound.dsp import _pad_signal
 
@@ -64,3 +66,110 @@ def cwt_dense(clip, spec, grid):
         row = scipy.fft.ifft(xf * np.conj(spec.freq_response(s * omega)))
         out[i] = row[left : left + x.size]
     return out
+
+
+def conv2d_loop(x, w, b, padding="valid"):
+    """Quadruple-loop cross-correlation oracle."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    if padding == "same":
+        pl, pr = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
+        ql, qr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
+        x = np.pad(x, ((0, 0), (0, 0), (pl, pr), (ql, qr)))
+        h, wd = x.shape[2], x.shape[3]
+    out = np.zeros((n, o, h - kh + 1, wd - kw + 1))
+    for ni in range(n):
+        for oi in range(o):
+            for i in range(out.shape[2]):
+                for j in range(out.shape[3]):
+                    out[ni, oi, i, j] = (
+                        np.sum(x[ni, :, i : i + kh, j : j + kw] * w[oi]) + b[oi]
+                    )
+    return out
+
+
+def conv2d_im2col(x, w, bias, padding="same"):
+    """One kernel's convolution as a tape node: a full kh×kw im2col copy
+    and one GEMM, with a per-tap scatter of the column gradient."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ph, pw = ((ad._same_pad(kh), ad._same_pad(kw)) if padding == "same"
+              else ((0, 0), (0, 0)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    s = xp.strides
+    cols = as_strided(
+        xp, (n, c, kh, kw, ho, wo), (s[0], s[1], s[2], s[3], s[2], s[3])
+    ).reshape(n, c * kh * kw, ho * wo)
+    w2 = w.data.reshape(o, c * kh * kw)
+    out = (np.matmul(w2, cols) + bias.data.reshape(o, 1)).reshape(n, o, ho, wo)
+
+    def backprop(g):
+        gflat = g.reshape(n, o, ho * wo)
+        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
+        gcols = np.matmul(w2.T, gflat).reshape(n, c, kh, kw, ho, wo)
+        gxp = np.zeros_like(xp)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
+        gx = gxp[:, :, ph[0] : ph[0] + h, pw[0] : pw[0] + wd]
+        return gx, gw.reshape(w.shape), gflat.sum(axis=(0, 2))
+
+    return ad._node(out, (x, w, bias), backprop)
+
+
+def pool2d_windows(x, mode, kernel, stride=None):
+    """Window pooling as a tape node over an `as_strided` copy of every
+    window: mean, or the argmax element with its gradient scattered back by
+    `np.add.at`."""
+    kh, kw = kernel
+    sh, sw = stride if stride is not None else kernel
+    n, c, h, wd = x.shape
+    ho, wo = (h - kh) // sh + 1, (wd - kw) // sw + 1
+    xd = np.ascontiguousarray(x.data)
+    s = xd.strides
+    windows = as_strided(
+        xd, (n, c, ho, wo, kh, kw),
+        (s[0], s[1], s[2] * sh, s[3] * sw, s[2], s[3]),
+    ).reshape(n, c, ho, wo, kh * kw)
+    if mode == "avg":
+        out = windows.mean(axis=-1)
+
+        def backprop(g):
+            gx = np.zeros_like(xd)
+            for i in range(kh):
+                for j in range(kw):
+                    gx[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += (
+                        g / (kh * kw))
+            return (gx,)
+    else:
+        idx = windows.argmax(axis=-1)
+        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+        def backprop(g):
+            gx = np.zeros_like(xd)
+            ni, ci, hi, wi = np.indices(idx.shape)
+            np.add.at(gx, (ni, ci, hi * sh + idx // kw, wi * sw + idx % kw), g)
+            return (gx,)
+
+    return ad._node(out, (x,), backprop)
+
+
+def batch_norm_composite(x, gamma, beta, running_mean, running_var,
+                         momentum=0.1, eps=1e-5):
+    """Training-mode batch norm composed of taped primitives."""
+    c = x.shape[1]
+    shape = (1, c, 1, 1)
+    mu = ad.tmean(x, axis=(0, 2, 3), keepdims=True)
+    var = ad.tmean((x - mu) ** 2, axis=(0, 2, 3), keepdims=True)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu.data.reshape(c)
+    running_var *= 1.0 - momentum
+    running_var += momentum * var.data.reshape(c)
+    xhat = (x - mu) * (var + eps) ** -0.5
+    return xhat * gamma.reshape(shape) + beta.reshape(shape)
+
+
+def residual_norm_composite(x, lam):
+    """lam·x plus `instance_norm_freq(x)`, composed of taped primitives."""
+    return x * lam + ad.instance_norm_freq(x)

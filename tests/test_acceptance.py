@@ -119,6 +119,12 @@ def test_criterion_3_gradient_suite():
              [(2, 3, 4, 5)]),
             ("instance_norm",
              lambda x: ad.tsum(ad.instance_norm_freq(x) ** 3), [(1, 2, 2, 6)]),
+            ("residual_norm",
+             lambda x: ad.tsum(ad.residual_norm(x, 0.4) ** 3), [(1, 2, 2, 6)]),
+            ("conv2d_sum",
+             lambda x, w1, w2, w3, b: ad.tsum(
+                 ad.conv2d_sum(x, [w1, w2, w3], [b]) ** 2),
+             [(1, 2, 6, 5), (2, 2, 3, 3), (2, 2, 1, 1), (2, 2, 4, 1), (2,)]),
             ("attention",
              lambda x, q, k, v, o: ad.tsum(
                  ad.multi_head_attention(x, q, k, v, o, heads=1) ** 2),

@@ -5,27 +5,8 @@ from lungsound import autodiff as ad
 from lungsound.autodiff import Tensor
 from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
-from oracles import grad_check
-
-
-def conv2d_loop(x, w, b, padding="valid"):
-    """Quadruple-loop cross-correlation oracle."""
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    if padding == "same":
-        pl, pr = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
-        ql, qr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
-        x = np.pad(x, ((0, 0), (0, 0), (pl, pr), (ql, qr)))
-        h, wd = x.shape[2], x.shape[3]
-    out = np.zeros((n, o, h - kh + 1, wd - kw + 1))
-    for ni in range(n):
-        for oi in range(o):
-            for i in range(out.shape[2]):
-                for j in range(out.shape[3]):
-                    out[ni, oi, i, j] = (
-                        np.sum(x[ni, :, i : i + kh, j : j + kw] * w[oi]) + b[oi]
-                    )
-    return out
+from oracles import (batch_norm_composite, conv2d_im2col, conv2d_loop,
+                     grad_check, pool2d_windows, residual_norm_composite)
 
 
 class TestConv2d:
@@ -69,6 +50,94 @@ class TestConv2d:
                       Tensor(np.zeros((1, 3, 1, 1))), Tensor(np.zeros(1)))
 
 
+class TestConv2dSum:
+    """The merged-branch node against the sum of per-kernel oracle
+    convolutions, in float64."""
+
+    KERNELS = {
+        "inc01": [(3, 3), (1, 1), (4, 1)],
+        "inct_5_7": [(1, 5), (1, 7)],
+        "inct_7_9": [(1, 7), (1, 9)],
+    }
+
+    @staticmethod
+    def branch_params(rng, kernels, c_in=3, c_out=4):
+        weights = [Tensor(rng.standard_normal((c_out, c_in, kh, kw)),
+                          requires_grad=True) for kh, kw in kernels]
+        biases = [Tensor(rng.standard_normal(c_out), requires_grad=True)
+                  for _ in kernels]
+        return weights, biases
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_matches_sum_of_branch_oracles(self, name):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 7, 11))
+        coef = rng.standard_normal((2, 4, 7, 11))
+        weights, biases = self.branch_params(rng, self.KERNELS[name])
+
+        def run(conv_sum):
+            xt = Tensor(x, requires_grad=True)
+            for p in weights + biases:
+                p.grad = None
+            out = conv_sum(xt)
+            ad.tsum(out * coef).backward()
+            return [out.data, xt.grad] + [p.grad for p in weights + biases]
+
+        merged = run(lambda xt: ad.conv2d_sum(xt, weights, biases))
+
+        def oracle_sum(xt):
+            outs = [conv2d_im2col(xt, w, b) for w, b in zip(weights, biases)]
+            total = outs[0]
+            for out in outs[1:]:
+                total = total + out
+            return total
+
+        reference = run(oracle_sum)
+        for got, want in zip(merged, reference):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        loops = sum(conv2d_loop(x, w.data, b.data, "same")
+                    for w, b in zip(weights, biases))
+        assert np.allclose(merged[0], loops, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_grad_check(self, name):
+        kernels = self.KERNELS[name]
+
+        def fn(x, *params):
+            weights, biases = params[: len(kernels)], params[len(kernels):]
+            return ad.tsum(ad.conv2d_sum(x, weights, biases) ** 2)
+
+        shapes = ([(2, 2, 5, 9)] + [(3, 2, kh, kw) for kh, kw in kernels]
+                  + [(3,)] * len(kernels))
+        assert grad_check(fn, shapes, seed=10) < 1e-4
+
+    def test_without_biases(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((1, 2, 6, 5)))
+        weights, _ = self.branch_params(rng, self.KERNELS["inc01"], c_in=2)
+        out = ad.conv2d_sum(x, weights, []).data
+        expected = sum(conv2d_loop(x.data, w.data, np.zeros(4), "same")
+                       for w in weights)
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_input_gradient_skipped_for_a_constant_input(self):
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+        out = ad.conv2d_sum(Tensor(rng.standard_normal((1, 1, 4, 4))), [w], [])
+        assert out._backprop(np.ones(out.shape))[0] is None
+
+    def test_mismatched_kernels_rejected(self):
+        x = Tensor(np.zeros((1, 2, 5, 5)))
+        with pytest.raises(InvalidInputError):
+            ad.conv2d_sum(x, [Tensor(np.zeros((3, 2, 3, 3))),
+                              Tensor(np.zeros((4, 2, 1, 1)))], [])
+        with pytest.raises(InvalidInputError):
+            ad.conv2d_sum(x, [Tensor(np.zeros((3, 2, 3, 3))),
+                              Tensor(np.zeros((3, 2, 1, 1)))], [], "valid")
+        with pytest.raises(InvalidInputError):
+            ad.conv2d_sum(x, [], [])
+
+
 class TestPooling:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2))
@@ -86,6 +155,38 @@ class TestPooling:
     def test_kernel_too_large_rejected(self):
         with pytest.raises(InvalidConfigError):
             ad.pool2d(Tensor(np.zeros((1, 1, 2, 2))), "avg", (3, 3))
+
+    @pytest.mark.parametrize("kernel, stride", [
+        ((3, 3), None), ((2, 3), None), ((1, 1), None), ((2, 2), (1, 1)),
+        ((2, 2), (2, 1)),
+    ])
+    def test_only_2x2_stride_2_accepted(self, kernel, stride):
+        with pytest.raises(InvalidConfigError):
+            ad.pool2d(Tensor(np.zeros((1, 1, 8, 8))), "max", kernel, stride)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["avg", "max"])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 10), (1, 2, 7, 9),
+                                       (2, 1, 5, 2)])
+    def test_bitwise_equal_to_window_oracle(self, shape, mode, dtype):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(shape).astype(dtype)
+        x[0, 0, :2, :2] = -0.0  # an all-negative-zero window
+        x[-1, -1, :2, 2:] = 1.5  # ties: the first in row-major order wins
+        x[0, -1, 2:4, :2] = [[-1.0, 2.0], [2.0, 2.0]]
+        g = rng.standard_normal(
+            shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(dtype)
+        got = ad.pool2d(Tensor(x, requires_grad=True), mode, (2, 2))
+        want = pool2d_windows(Tensor(x, requires_grad=True), mode, (2, 2))
+        assert got.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got._backprop(g)[0].tobytes() == want._backprop(g)[0].tobytes()
+
+    def test_max_routes_ties_to_first_element(self):
+        x = Tensor(np.array([[2.0, 1.0], [2.0, 2.0]]).reshape(1, 1, 2, 2),
+                   requires_grad=True)
+        ad.tsum(ad.pool2d(x, "max", (2, 2))).backward()
+        assert np.array_equal(x.grad.reshape(2, 2), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_global_variants_match_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -142,6 +243,60 @@ class TestBatchNorm:
         assert np.allclose(out, expected)
 
 
+class TestFusedNorms:
+    """Single-node training batch norm and residual norm against the
+    composites they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_norm_forward_and_running_stats_bitwise(self, dtype):
+        rng = np.random.default_rng(7)
+        x = (rng.standard_normal((3, 4, 5, 6)) * 3 + 1).astype(dtype)
+        gamma = rng.standard_normal(4).astype(dtype)
+        beta = rng.standard_normal(4).astype(dtype)
+        stats = [rng.standard_normal(4), rng.random(4) + 0.5]
+        fused_stats = [s.copy() for s in stats]
+        want = batch_norm_composite(Tensor(x), Tensor(gamma), Tensor(beta),
+                                    *stats, momentum=0.3)
+        got = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta),
+                            *fused_stats, momentum=0.3, training=True)
+        assert got.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        for a, b in zip(fused_stats, stats):
+            assert a.tobytes() == b.tobytes()
+
+    def test_batch_norm_gradients_match_composite(self):
+        rng = np.random.default_rng(8)
+        x, gamma, beta = (rng.standard_normal(s)
+                          for s in [(3, 2, 4, 5), (2,), (2,)])
+        coef = rng.standard_normal((3, 2, 4, 5))
+        grads = []
+        for norm in (ad.batch_norm, batch_norm_composite):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            out = norm(*leaves, np.zeros(2), np.ones(2))
+            ad.tsum(out * coef + (out * coef) ** 2).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_residual_norm_forward_bitwise(self, dtype):
+        x = np.random.default_rng(9).standard_normal((2, 3, 4, 9)).astype(dtype)
+        got = ad.residual_norm(Tensor(x), 0.4).data
+        assert got.dtype == dtype
+        assert got.tobytes() == residual_norm_composite(Tensor(x), 0.4).data.tobytes()
+
+    def test_residual_norm_gradient_matches_composite(self):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 3, 4, 9))
+        coef = rng.standard_normal(x.shape)
+        grads = []
+        for norm in (ad.residual_norm, residual_norm_composite):
+            leaf = Tensor(x, requires_grad=True)
+            ad.tsum(norm(leaf, 0.4) ** 2 * coef).backward()
+            grads.append(leaf.grad)
+        assert np.allclose(grads[0], grads[1], rtol=0, atol=1e-12)
+
+
 class TestInstanceNormFreq:
     def test_idempotent_on_normalized_rows(self):
         rng = np.random.default_rng(0)
@@ -190,6 +345,21 @@ class TestActivations:
     def test_relu(self):
         out = ad.relu(Tensor([-3.0, 2.0])).data
         assert np.array_equal(out, [0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bitwise_equal_to_masked_select(self, dtype):
+        x = np.random.default_rng(0).standard_normal(1000).astype(dtype)
+        x[:4] = [-0.0, 0.0, np.inf, -np.inf]
+        out = ad.relu(Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    def test_relu_propagates_nan(self):
+        x = Tensor(np.array([np.nan, -1.0, 1.0]), requires_grad=True)
+        out = ad.relu(x)
+        assert np.isnan(out.data[0])
+        ad.tsum(out * np.array([0.0, 1.0, 1.0])).backward()
+        assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_softmax_uniform(self):
         out = ad.softmax(Tensor([[0.0, 0.0, 0.0]])).data

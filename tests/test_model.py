@@ -59,9 +59,15 @@ class TestInc01:
         x = Tensor(rng.standard_normal((1, 1, 6, 6)))
         out = block(x).data
         expected = sum(
-            ad.conv2d(x, b.weight, b.bias, "same").data for b in block.branches
+            ad.conv2d(x, b.weight, None, "same").data for b in block.branches
         )
         assert np.allclose(out, expected)
+
+    def test_branches_have_no_bias(self):
+        # a BatchNorm follows every inc01 block
+        block = md.inc01(2, 3, np.random.default_rng(0), np.float64)
+        assert [name for name, _ in block.named_parameters()] == [
+            f"branches.{i}.weight" for i in range(3)]
 
     def test_rejects_nonpositive_channels(self):
         with pytest.raises(InvalidConfigError):
@@ -153,8 +159,8 @@ class TestForward:
 class TestParameterAccounting:
     @staticmethod
     def expected_count(cfg):
-        def conv(ci, co, kh, kw):
-            return co * ci * kh * kw + co
+        def conv(ci, co, kh, kw, bias=True):
+            return co * ci * kh * kw + (co if bias else 0)
 
         def mha(d):
             h, k = cfg.attn_heads, cfg.attn_key_dim
@@ -163,19 +169,20 @@ class TestParameterAccounting:
         c = cfg.doub_inc_channels
         c1, c2 = cfg.inc_res_channels
         total = 0
-        # Doub-Inc: two inception triples plus two batch norms
+        # Doub-Inc: two bias-free inception triples plus two batch norms
         for ci, co in [(1, c), (c, c)]:
-            total += sum(conv(ci, co, kh, kw)
+            total += sum(conv(ci, co, kh, kw, bias=False)
                          for kh, kw in [(3, 3), (1, 1), (4, 1)])
             total += 2 * co
-        # Two Inc-Res blocks: FT and T branches plus 1x1 shortcut with BN
+        # Two Inc-Res blocks: FT and T branches plus a bias-free 1x1
+        # shortcut with BN
         for (ci, co), fts, ts in [
             ((c, c1), md.INCFT_KERNELS[0], md.INCT_KERNELS[0]),
             ((c1, c2), md.INCFT_KERNELS[1], md.INCT_KERNELS[1]),
         ]:
             total += sum(conv(ci, co, k, k) for k in fts)
             total += sum(conv(ci, co, 1, k) for k in ts)
-            total += conv(ci, co, 1, 1) + 2 * co
+            total += conv(ci, co, 1, 1, bias=False) + 2 * co
         # Attention head: three MHAs over (t_feat, c_feat, c_feat), two FCs
         _, f_out, t_out = cfg.block_dims()[-1]
         total += mha(t_out) + 2 * mha(c2)

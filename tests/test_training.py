@@ -212,6 +212,50 @@ class TestDtypeDiscipline:
             assert b.dtype == np.float64, name
 
 
+class TestTapeSize:
+    def test_one_training_step_records_239_nodes(self, monkeypatch):
+        """One training forward plus `kl_loss` (dropout, L2) at the
+        criterion-6 geometry: each Inc block's convolution, 2x2 pooling,
+        batch norm and residual norm is one tape node (376 when they were
+        composites of per-branch and per-operation nodes)."""
+        recorded = []
+        node = ad._node
+
+        def counting_node(data, parents, backprop):
+            out = node(data, parents, backprop)
+            recorded.append(out._backprop is not None)
+            return out
+
+        monkeypatch.setattr(ad, "_node", counting_node)
+        cfg = ModelConfig(
+            input_dims=(118, 118), n_classes=7, doub_inc_channels=8,
+            inc_res_channels=(12, 16), attn_heads=2, attn_key_dim=8,
+            fc_hidden=64, dropout=0.2,
+        )
+        model = RespiratoryClassifier(cfg, seed=0)
+        batch = np.random.default_rng(1).standard_normal((7, 1, 118, 118))
+        probs = model.forward(batch, training=True,
+                              rng=np.random.default_rng(0))
+        tr.kl_loss(np.eye(7), probs,
+                   tr.regularized_parameters(model).values(), 1e-4)
+        assert sum(recorded) == 239
+
+
+class TestNonFiniteInput:
+    def test_nan_reaches_the_loss_guard(self):
+        """A NaN in the batch survives ReLU and the prediction floor, so the
+        step stops before any parameter moves."""
+        model = tiny_model()
+        before = {k: p.data.copy() for k, p in model.parameters().items()}
+        batch = np.random.default_rng(0).standard_normal((2, 1, 12, 20))
+        batch[0, 0, 3, 5] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            tr.train_step(model, batch, np.eye(3)[:2],
+                          tr.Adam(model.parameters()), 1e-4)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, before[name]), name
+
+
 class TestFit:
     def make_dataset(self):
         return toy_dataset(n_classes=3, per_class=4, f=16, t=24)
@@ -390,7 +434,7 @@ class TestCheckpoint:
         model = self.edited_checkpoint(path, lambda header: None)
         assert tr.load_checkpoint(path)[0].config == model.config
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_unsupported_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.lsck"
         self.edited_checkpoint(path, lambda header: None, version=version)

@@ -12,6 +12,8 @@ normalizations, dropout and attention.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, UsageError
@@ -336,6 +338,41 @@ def _same_pad(k):
     return lo, k - 1 - lo
 
 
+# bytes of im2col columns that a convolution builds at a time: a larger
+# input is run one band of output rows at a time, and its backward rebuilds
+# each band's columns from the input instead of keeping them all on the tape
+_BAND_BYTES = 32 << 20
+
+
+def _bands(n, ho, row_bytes):
+    """(first sample, end sample, first row, end row) bands that tile the
+    n×ho output rows, each with at most `_BAND_BYTES` of columns (and at
+    least one row); `row_bytes` are one sample's columns for one output
+    row. Whole samples share a band when one fits, else a band is a run of
+    one sample's rows."""
+    rows = max(1, _BAND_BYTES // row_bytes)
+    if rows >= ho:
+        step = rows // ho
+        return [(i, min(i + step, n), 0, ho) for i in range(0, n, step)]
+    return [(i, i + 1, r, min(r + rows, ho))
+            for i in range(n) for r in range(0, ho, rows)]
+
+
+def _flush_subnormal(g):
+    """g with every entry below the dtype's smallest normal magnitude set
+    to zero: BLAS on subnormal operands is many times slower. A NaN stays
+    NaN."""
+    keep = np.abs(g)
+    np.greater_equal(keep, np.finfo(g.dtype).tiny, out=keep)
+    keep *= g
+    return keep
+
+
+def _front(buf, shape):
+    """The first entries of the flat array `buf`, viewed as `shape`."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
 def conv2d(x, w, bias, padding="same"):
     """2-d cross-correlation, stride 1, over N×C×F×T input.
 
@@ -350,10 +387,13 @@ def conv2d_sum(x, weights, biases, padding="same"):
     in `weights`, plus each O-vector in `biases`, as one node.
 
     Under "same" padding the kernels' taps sit at offsets from the output
-    position; one im2col over the union of those offsets and one GEMM
-    against the per-offset sum of the kernels' weights gives the sum of the
+    position; an im2col over the union of those offsets and a GEMM against
+    the per-offset sum of the kernels' weights gives the sum of the
     separate convolutions. Each kernel's gradient is its own taps' slice of
-    the merged weight gradient.
+    the merged weight gradient. The columns are built one band of output
+    rows at a time (see `_bands`); a node whose columns fit in one band
+    keeps them for backward, any other rebuilds each band from the input.
+    The backward flushes subnormal output gradients to zero.
     """
     if x.ndim != 4 or not weights or any(w.ndim != 4 for w in weights):
         raise InvalidInputError("conv2d expects 4-d input and kernel")
@@ -385,42 +425,67 @@ def conv2d_sum(x, weights, biases, padding="same"):
     slots = [[where[tap] for tap in offs] for offs in offsets]
     top = -min(dy for dy, _ in taps)
     left = -min(dx for _, dx in taps)
-    bottom = ho - h + max(dy for dy, _ in taps)
-    right = wo - wd + max(dx for _, dx in taps)
+    pads = ((0, 0), (0, 0), (top, ho - h + max(dy for dy, _ in taps)),
+            (left, wo - wd + max(dx for _, dx in taps)))
+    k = c * len(taps)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    windows = [(slice(top + dy, top + dy + ho), slice(left + dx, left + dx + wo))
-               for dy, dx in taps]
-    cols = np.empty((n, c, len(taps), ho, wo), dtype=xp.dtype)
-    for t, (rows, columns) in enumerate(windows):
-        cols[:, :, t] = xp[:, :, rows, columns]
-    cols = cols.reshape(n, c * len(taps), ho * wo)
+    def columns(xp, band, buf):
+        """The band's im2col, samples × (C·taps) × (rows·wo), in `buf`."""
+        i0, i1, r0, r1 = band
+        cols = _front(buf, (i1 - i0, c, len(taps), r1 - r0, wo))
+        for t, (dy, dx) in enumerate(taps):
+            cols[:, :, t] = xp[i0:i1, :, top + dy + r0 : top + dy + r1,
+                               left + dx : left + dx + wo]
+        return cols.reshape(i1 - i0, k, -1)
+
+    xd = x.data
+    xp = np.pad(xd, pads)
+    bands = _bands(n, ho, k * wo * xp.itemsize)
+    # the first band is the largest: one buffer serves every band of a pass
+    i0, i1, r0, r1 = bands[0]
+    band_size = (i1 - i0) * k * (r1 - r0) * wo
     merged = np.zeros((o, c, len(taps)), dtype=weights[0].data.dtype)
     for w, slot in zip(weights, slots):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
-    w2 = merged.reshape(o, c * len(taps))
-    out = np.matmul(w2, cols)
+    w2 = merged.reshape(o, k)
+    out = np.empty((n, o, ho, wo), dtype=np.result_type(w2.dtype, xp.dtype))
+    buf = np.empty(band_size, dtype=xp.dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        cols = columns(xp, band, buf)
+        # a view: a band's rows of one channel are contiguous in `out`
+        np.matmul(w2, cols, out=out[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
     if biases:
-        out += sum(b.data for b in biases).reshape(o, 1)
-    xp_shape = xp.shape  # the closure keeps cols, not the padded input
+        out += sum(b.data for b in biases).reshape(o, 1, 1)
+    xp_shape = xp.shape
+    # one band keeps its columns; otherwise backward rebuilds them from xd
+    kept = cols if len(bands) == 1 else None
 
     def backprop(g):
-        gflat = g.reshape(n, o, ho * wo)
-        gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
+        if kept is None:
+            xp, buf = np.pad(xd, pads), np.empty(band_size, dtype=xd.dtype)
+        gxp = np.zeros(xp_shape, dtype=g.dtype) if x.requires_grad else None
+        gbuf = np.empty(band_size, dtype=g.dtype) if x.requires_grad else None
+        gw = np.zeros((o, k), dtype=g.dtype)
+        for band in bands:
+            i0, i1, r0, r1 = band
+            gband = _flush_subnormal(g[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
+            cols = kept if kept is not None else columns(xp, band, buf)
+            gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
+            if gxp is not None:
+                gcols = _front(gbuf, (i1 - i0, c, len(taps), r1 - r0, wo))
+                np.matmul(w2.T, gband, out=gcols.reshape(i1 - i0, k, -1))
+                for t, (dy, dx) in enumerate(taps):
+                    gxp[i0:i1, :, top + dy + r0 : top + dy + r1,
+                        left + dx : left + dx + wo] += gcols[:, :, t]
         gw = gw.reshape(o, c, len(taps))
         gws = [gw[:, :, slot].reshape(w.shape) for w, slot in zip(weights, slots)]
-        gb = gflat.sum(axis=(0, 2))
+        gb = g.reshape(n, o, -1).sum(axis=(0, 2))
         gbs = [gb.copy() for _ in biases]
-        gx = None
-        if x.requires_grad:
-            gcols = np.matmul(w2.T, gflat).reshape(n, c, len(taps), ho, wo)
-            gxp = np.zeros(xp_shape, dtype=gcols.dtype)
-            for t, (rows, columns) in enumerate(windows):
-                gxp[:, :, rows, columns] += gcols[:, :, t]
-            gx = gxp[:, :, top : top + h, left : left + wd]
+        gx = None if gxp is None else gxp[:, :, top : top + h, left : left + wd]
         return (gx, *gws, *gbs)
 
-    return _node(out.reshape(n, o, ho, wo), (x, *weights, *biases), backprop)
+    return _node(out, (x, *weights, *biases), backprop)
 
 
 def pool2d(x, mode, kernel, stride=None):

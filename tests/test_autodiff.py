@@ -138,6 +138,138 @@ class TestConv2dSum:
             ad.conv2d_sum(x, [], [])
 
 
+def _closure_arrays(node):
+    """Every array a node's backward closure holds, through nested
+    closures and lists."""
+    found, todo = [], [node._backprop]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in item.__closure__)
+    return found
+
+
+class TestConv2dBands:
+    """The band loop, with the band budget shrunk so that one convolution
+    runs as many bands, against the oracles in float64."""
+
+    # kernels, padding, number of taps in their union
+    CASES = {
+        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10),
+        "inct_5_7": ([(1, 5), (1, 7)], "same", 7),
+        "valid_3x3": ([(3, 3)], "valid", 9),
+    }
+    N, C_IN = 3, 3
+
+    @staticmethod
+    def budget(layout, n_taps, ho, wo, c_in=3):
+        """Band bytes for one-row bands, three-row bands (the last one
+        ragged) or two whole samples per band (the last one ragged)."""
+        row = c_in * n_taps * wo * 8
+        return {"rows1": row, "rows3": 3 * row, "samples2": 2 * ho * row}[layout]
+
+    @pytest.mark.parametrize("layout", ["rows1", "rows3", "samples2"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_oracles(self, monkeypatch, name, layout):
+        kernels, padding, n_taps = self.CASES[name]
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((self.N, self.C_IN, 7, 11))
+        weights, biases = TestConv2dSum.branch_params(rng, kernels)
+
+        def run(conv_sum):
+            xt = Tensor(x, requires_grad=True)
+            for p in weights + biases:
+                p.grad = None
+            out = conv_sum(xt)
+            coef = np.random.default_rng(12).standard_normal(out.shape)
+            ad.tsum(out * coef).backward()
+            return [out.data, xt.grad] + [p.grad for p in weights + biases]
+
+        def oracle_sum(xt):
+            outs = [conv2d_im2col(xt, w, b, padding)
+                    for w, b in zip(weights, biases)]
+            total = outs[0]
+            for out in outs[1:]:
+                total = total + out
+            return total
+
+        reference = run(oracle_sum)
+        _, _, ho, wo = reference[0].shape
+        monkeypatch.setattr(ad, "_BAND_BYTES",
+                            self.budget(layout, n_taps, ho, wo))
+        banded = run(lambda xt: ad.conv2d_sum(xt, weights, biases, padding))
+        for got, want in zip(banded, reference):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        loops = sum(conv2d_loop(x, w.data, b.data, padding)
+                    for w, b in zip(weights, biases))
+        assert np.allclose(banded[0], loops, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, ho, rows", [
+        (1, 7, 0), (1, 7, 1), (3, 7, 3), (3, 7, 7), (3, 7, 14), (3, 7, 100)])
+    def test_bands_tile_the_output_once_within_budget(self, monkeypatch, n,
+                                                      ho, rows):
+        monkeypatch.setattr(ad, "_BAND_BYTES", rows * 10)
+        covered = np.zeros((n, ho), dtype=int)
+        for i0, i1, r0, r1 in ad._bands(n, ho, 10):
+            covered[i0:i1, r0:r1] += 1
+            assert (i1 - i0) * (r1 - r0) <= max(rows, 1)
+        assert (covered == 1).all()
+
+    def test_grad_check_multi_band(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
+        kernels = self.CASES["inc01"][0]
+
+        def fn(x, *params):
+            weights, biases = params[: len(kernels)], params[len(kernels):]
+            return ad.tsum(ad.conv2d_sum(x, weights, biases) ** 2)
+
+        shapes = ([(2, 2, 5, 9)] + [(3, 2, kh, kw) for kh, kw in kernels]
+                  + [(3,)] * len(kernels))
+        assert grad_check(fn, shapes, seed=13) < 1e-4
+
+    def test_multi_band_node_keeps_no_columns(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((2, 3, 7, 11)), requires_grad=True)
+        weights, biases = TestConv2dSum.branch_params(
+            rng, self.CASES["inc01"][0])
+        all_columns = 2 * 3 * 10 * 7 * 11 * 8
+
+        out = ad.conv2d_sum(x, weights, biases)
+        assert all_columns in [a.nbytes for a in _closure_arrays(out)]
+
+        budget = self.budget("rows1", 10, 7, 11)
+        monkeypatch.setattr(ad, "_BAND_BYTES", budget)
+        out = ad.conv2d_sum(x, weights, biases)
+        saved = _closure_arrays(out)
+        own = [x.data] + [p.data for p in weights + biases]
+        assert [a.nbytes for a in saved if a.nbytes > budget
+                and not any(a is b for b in own)] == []
+        assert any(a is x.data for a in saved)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_subnormal_output_gradient_is_flushed(self, monkeypatch, dtype,
+                                                  budget):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_BAND_BYTES", budget)
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((2, 3, 7, 11)).astype(dtype),
+                   requires_grad=True)
+        weights = [Tensor(w.data.astype(dtype), requires_grad=True)
+                   for w in TestConv2dSum.branch_params(
+                       rng, self.CASES["inc01"][0])[0]]
+        out = ad.conv2d_sum(x, weights, [])
+        g = np.full(out.shape, np.finfo(dtype).tiny / 4, dtype=dtype)
+        g[:, ::2] *= -1
+        gx, *gws = out._backprop(g)
+        assert gx.dtype == dtype
+        assert not gx.any() and not any(gw.any() for gw in gws)
+
+
 class TestPooling:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2))

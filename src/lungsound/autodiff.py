@@ -339,17 +339,15 @@ def _same_pad(k):
 
 
 # bytes of im2col columns that a convolution builds at a time: a larger
-# input is run one band of output rows at a time, and its backward rebuilds
-# each band's columns from the input instead of keeping them all on the tape
+# input is run one band of rows at a time, forward and backward
 _BAND_BYTES = 32 << 20
 
 
 def _bands(n, ho, row_bytes):
     """(first sample, end sample, first row, end row) bands that tile the
-    n×ho output rows, each with at most `_BAND_BYTES` of columns (and at
-    least one row); `row_bytes` are one sample's columns for one output
-    row. Whole samples share a band when one fits, else a band is a run of
-    one sample's rows."""
+    n×ho rows, each with at most `_BAND_BYTES` of columns (and at least one
+    row); `row_bytes` are one sample's columns for one row. Whole samples
+    share a band when one fits, else a band is a run of one sample's rows."""
     rows = max(1, _BAND_BYTES // row_bytes)
     if rows >= ho:
         step = rows // ho
@@ -358,11 +356,11 @@ def _bands(n, ho, row_bytes):
             for i in range(n) for r in range(0, ho, rows)]
 
 
-def _flush_subnormal(g):
+def _flush_subnormal(g, out=None):
     """g with every entry below the dtype's smallest normal magnitude set
-    to zero: BLAS on subnormal operands is many times slower. A NaN stays
-    NaN."""
-    keep = np.abs(g)
+    to zero, written to `out` (a new array if None): BLAS on subnormal
+    operands is many times slower. A NaN stays NaN."""
+    keep = np.abs(g, out=out)
     np.greater_equal(keep, np.finfo(g.dtype).tiny, out=keep)
     keep *= g
     return keep
@@ -391,9 +389,18 @@ def conv2d_sum(x, weights, biases, padding="same"):
     the per-offset sum of the kernels' weights gives the sum of the
     separate convolutions. Each kernel's gradient is its own taps' slice of
     the merged weight gradient. The columns are built one band of output
-    rows at a time (see `_bands`); a node whose columns fit in one band
-    keeps them for backward, any other rebuilds each band from the input.
-    The backward flushes subnormal output gradients to zero.
+    rows at a time (see `_bands`).
+
+    The backward lays out im2col columns of the output gradient over the
+    input's positions, one band of input rows at a time: entry (o, tap,
+    y, x) is g[o, y - dy, x - dx], zero outside g. Against the merged
+    weight, as C × (O·taps), they give the band's input gradient in one
+    GEMM, and against the band's input the weight gradient in another, so
+    the input's columns are never rebuilt and nothing is scattered. A node
+    whose input is a constant needs only the weight gradient, from its
+    input's columns: it keeps them when they fit in one band, else it
+    rebuilds each band. The backward flushes subnormal output gradients to
+    zero once per node; the bias gradient sums them as they are.
     """
     if x.ndim != 4 or not weights or any(w.ndim != 4 for w in weights):
         raise InvalidInputError("conv2d expects 4-d input and kernel")
@@ -425,8 +432,9 @@ def conv2d_sum(x, weights, biases, padding="same"):
     slots = [[where[tap] for tap in offs] for offs in offsets]
     top = -min(dy for dy, _ in taps)
     left = -min(dx for _, dx in taps)
-    pads = ((0, 0), (0, 0), (top, ho - h + max(dy for dy, _ in taps)),
-            (left, wo - wd + max(dx for _, dx in taps)))
+    bottom = max(dy for dy, _ in taps)
+    right = max(dx for _, dx in taps)
+    pads = ((0, 0), (0, 0), (top, ho - h + bottom), (left, wo - wd + right))
     k = c * len(taps)
 
     def columns(xp, band, buf):
@@ -457,32 +465,57 @@ def conv2d_sum(x, weights, biases, padding="same"):
         np.matmul(w2, cols, out=out[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
     if biases:
         out += sum(b.data for b in biases).reshape(o, 1, 1)
-    xp_shape = xp.shape
-    # one band keeps its columns; otherwise backward rebuilds them from xd
-    kept = cols if len(bands) == 1 else None
+    # only a constant input's one band of columns is kept for backward
+    kept = cols if len(bands) == 1 and not x.requires_grad else None
 
-    def backprop(g):
+    def grads_from_output_columns(g):
+        """gx and the merged weight gradient, O × C × taps."""
+        # the flushed g, padded so that every tap's shift of the input rows
+        # and columns stays inside it
+        gp = np.zeros((n, o, bottom + h + top, right + wd + left),
+                      dtype=g.dtype)
+        _flush_subnormal(g, out=gp[:, :, bottom : bottom + ho,
+                                   right : right + wo])
+        w_r = merged.transpose(1, 0, 2).reshape(c, -1)
+        gx = np.empty(x.shape, dtype=g.dtype)
+        gw = np.zeros((o * len(taps), c), dtype=g.dtype)
+        gbands = _bands(n, h, o * len(taps) * wd * g.itemsize)
+        i0, i1, r0, r1 = gbands[0]
+        gbuf = np.empty((i1 - i0) * o * len(taps) * (r1 - r0) * wd,
+                        dtype=g.dtype)
+        for i0, i1, r0, r1 in gbands:
+            gc = _front(gbuf, (i1 - i0, o, len(taps), r1 - r0, wd))
+            for t, (dy, dx) in enumerate(taps):
+                gc[:, :, t] = gp[i0:i1, :, bottom - dy + r0 : bottom - dy + r1,
+                                 right - dx : right - dx + wd]
+            gc = gc.reshape(i1 - i0, -1, (r1 - r0) * wd)
+            # views, as in the forward
+            np.matmul(w_r, gc, out=gx[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1))
+            xb = xd[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1)
+            gw += np.matmul(gc, xb.transpose(0, 2, 1)).sum(axis=0)
+        return gx, gw.reshape(o, len(taps), c).transpose(0, 2, 1)
+
+    def weight_grad_from_input_columns(g):
+        """The merged weight gradient, O × C × taps."""
         if kept is None:
             xp, buf = np.pad(xd, pads), np.empty(band_size, dtype=xd.dtype)
-        gxp = np.zeros(xp_shape, dtype=g.dtype) if x.requires_grad else None
-        gbuf = np.empty(band_size, dtype=g.dtype) if x.requires_grad else None
+        gf = _flush_subnormal(g)
         gw = np.zeros((o, k), dtype=g.dtype)
         for band in bands:
             i0, i1, r0, r1 = band
-            gband = _flush_subnormal(g[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
             cols = kept if kept is not None else columns(xp, band, buf)
+            gband = gf[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1)
             gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
-            if gxp is not None:
-                gcols = _front(gbuf, (i1 - i0, c, len(taps), r1 - r0, wo))
-                np.matmul(w2.T, gband, out=gcols.reshape(i1 - i0, k, -1))
-                for t, (dy, dx) in enumerate(taps):
-                    gxp[i0:i1, :, top + dy + r0 : top + dy + r1,
-                        left + dx : left + dx + wo] += gcols[:, :, t]
-        gw = gw.reshape(o, c, len(taps))
+        return gw.reshape(o, c, len(taps))
+
+    def backprop(g):
+        if x.requires_grad:
+            gx, gw = grads_from_output_columns(g)
+        else:
+            gx, gw = None, weight_grad_from_input_columns(g)
         gws = [gw[:, :, slot].reshape(w.shape) for w, slot in zip(weights, slots)]
         gb = g.reshape(n, o, -1).sum(axis=(0, 2))
         gbs = [gb.copy() for _ in biases]
-        gx = None if gxp is None else gxp[:, :, top : top + h, left : left + wd]
         return (gx, *gws, *gbs)
 
     return _node(out, (x, *weights, *biases), backprop)
@@ -515,26 +548,47 @@ def pool2d(x, mode, kernel, stride=None):
             out += part
         out /= 4
 
+        # both modes assign the gradient rather than sum it into zeros:
+        # + 0.0 turns a -0.0 into the 0.0 that such a sum gives
         def backprop(g):
-            gx = np.zeros(x.shape, dtype=g.dtype)
+            gx = np.empty(x.shape, dtype=g.dtype)
             gs = g / 4
+            gs += 0.0
             for rows, columns in corners:
-                gx[:, :, rows, columns] += gs
+                gx[:, :, rows, columns] = gs
+            gx[:, :, 2 * ho :] = 0
+            gx[:, :, :, 2 * wo :] = 0
             return (gx,)
 
     elif mode == "max":
-        out = parts[0].copy()
-        first = np.zeros(out.shape, dtype=np.int8)
-        for k, part in enumerate(parts[1:], 1):
-            # strictly greater, or the first NaN: argmax's choice
-            take = (part > out) | (np.isnan(part) & ~np.isnan(out))
-            out[take] = part[take]
-            first[take] = k
+        out = np.maximum(parts[0], parts[1])
+        np.maximum(out, parts[2], out=out)
+        np.maximum(out, parts[3], out=out)
+        # the first k whose element equals the maximum:
+        # ne0·(1 + ne1·(1 + ne2)) in int8, with ne_k = (part_k != out)
+        first = np.not_equal(parts[2], out).view(np.int8)
+        first += 1
+        first *= np.not_equal(parts[1], out)
+        first += 1
+        first *= np.not_equal(parts[0], out)
+        # a NaN window, or a ±0 one, takes argmax's element, sign or NaN
+        # included
+        patch = out == 0
+        patch |= np.isnan(out)
+        if patch.any():
+            at = np.nonzero(patch)
+            window = np.stack([part[at] for part in parts])
+            pick = window.argmax(axis=0)
+            out[at] = window[pick, np.arange(pick.size)]
+            first[at] = pick
 
         def backprop(g):
-            gx = np.zeros(x.shape, dtype=g.dtype)
+            gx = np.empty(x.shape, dtype=g.dtype)
+            g = g + 0.0
             for k, (rows, columns) in enumerate(corners):
-                gx[:, :, rows, columns] += np.where(first == k, g, 0)
+                gx[:, :, rows, columns] = np.where(first == k, g, 0)
+            gx[:, :, 2 * ho :] = 0
+            gx[:, :, :, 2 * wo :] = 0
             return (gx,)
 
     else:
@@ -568,10 +622,20 @@ def _standardize(xd, axes, eps):
     return diff * inv, inv, mu, var
 
 
-def _standardize_grad(g, xhat, inv, axes):
-    """Input gradient of `_standardize` for output gradient g."""
-    return inv * (g - g.mean(axis=axes, keepdims=True)
-                  - xhat * (g * xhat).mean(axis=axes, keepdims=True))
+def _standardize_grad(g, xhat, inv, axes, scale=1.0):
+    """(dx, Σg·xhat, Σg) for output gradient g of scale·xhat, where dx is
+    the input gradient through `_standardize`; the two sums over `axes`
+    are also the gradients of the scale and of a shift added after it."""
+    m = g.size / inv.size
+    sg = g.sum(axis=axes, keepdims=True)
+    dx = g * xhat
+    sgx = dx.sum(axis=axes, keepdims=True)
+    # dx = scale·inv·(g − Σg/m − xhat·Σg·xhat/m), in the one buffer
+    np.multiply(xhat, sgx / m, out=dx)
+    dx += sg / m
+    np.subtract(g, dx, out=dx)
+    dx *= scale * inv
+    return dx, sgx, sg
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
@@ -601,8 +665,8 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
     scale = gamma.data.reshape(shape)
 
     def backprop(g):
-        return (_standardize_grad(g * scale, xhat, inv, axes),
-                (g * xhat).sum(axis=axes), g.sum(axis=axes))
+        dx, sgx, sg = _standardize_grad(g, xhat, inv, axes, scale)
+        return dx, sgx.reshape(c), sg.reshape(c)
 
     return _node(xhat * scale + beta.data.reshape(shape), (x, gamma, beta),
                  backprop)
@@ -621,7 +685,9 @@ def residual_norm(x, lam, eps=1e-5):
     xhat, inv, _, _ = _standardize(x.data, -1, eps)
 
     def backprop(g):
-        return (g * lam + _standardize_grad(g, xhat, inv, -1),)
+        dx = _standardize_grad(g, xhat, inv, -1)[0]
+        dx += g * lam
+        return (dx,)
 
     return _node(x.data * lam + xhat, (x,), backprop)
 

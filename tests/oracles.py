@@ -88,6 +88,28 @@ def conv2d_loop(x, w, b, padding="valid"):
     return out
 
 
+def conv2d_loop_grads(x, w, g, padding="valid"):
+    """Loop oracle for the input and weight gradients of `conv2d_loop`
+    under output gradient g: each output position adds g times its window
+    of the weight to the input gradient, and g times its window of the
+    input to the weight gradient."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    pl = ql = 0
+    if padding == "same":
+        pl, pr = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
+        ql, qr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
+        x = np.pad(x, ((0, 0), (0, 0), (pl, pr), (ql, qr)))
+    gxp, gw = np.zeros_like(x), np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(o):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    gxp[ni, :, i : i + kh, j : j + kw] += g[ni, oi, i, j] * w[oi]
+                    gw[oi] += g[ni, oi, i, j] * x[ni, :, i : i + kh, j : j + kw]
+    return gxp[:, :, pl : pl + h, ql : ql + wd], gw
+
+
 def conv2d_im2col(x, w, bias, padding="same"):
     """One kernel's convolution as a tape node: a full kh×kw im2col copy
     and one GEMM, with a per-tap scatter of the column gradient."""

@@ -6,7 +6,8 @@ from lungsound.autodiff import Tensor
 from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
 from oracles import (batch_norm_composite, conv2d_im2col, conv2d_loop,
-                     grad_check, pool2d_windows, residual_norm_composite)
+                     conv2d_loop_grads, grad_check, pool2d_windows,
+                     residual_norm_composite)
 
 
 class TestConv2d:
@@ -231,24 +232,22 @@ class TestConv2dBands:
                   + [(3,)] * len(kernels))
         assert grad_check(fn, shapes, seed=13) < 1e-4
 
-    def test_multi_band_node_keeps_no_columns(self, monkeypatch):
+    def test_no_node_with_an_input_gradient_keeps_columns(self, monkeypatch):
         rng = np.random.default_rng(14)
         x = Tensor(rng.standard_normal((2, 3, 7, 11)), requires_grad=True)
         weights, biases = TestConv2dSum.branch_params(
             rng, self.CASES["inc01"][0])
-        all_columns = 2 * 3 * 10 * 7 * 11 * 8
-
-        out = ad.conv2d_sum(x, weights, biases)
-        assert all_columns in [a.nbytes for a in _closure_arrays(out)]
-
-        budget = self.budget("rows1", 10, 7, 11)
-        monkeypatch.setattr(ad, "_BAND_BYTES", budget)
-        out = ad.conv2d_sum(x, weights, biases)
-        saved = _closure_arrays(out)
         own = [x.data] + [p.data for p in weights + biases]
-        assert [a.nbytes for a in saved if a.nbytes > budget
-                and not any(a is b for b in own)] == []
-        assert any(a is x.data for a in saved)
+        merged_bytes = 4 * 3 * 10 * 8
+        for layout in [None, "rows1", "rows3", "samples2"]:
+            if layout is not None:
+                monkeypatch.setattr(ad, "_BAND_BYTES",
+                                    self.budget(layout, 10, 7, 11))
+            saved = _closure_arrays(ad.conv2d_sum(x, weights, biases))
+            # beyond its operands' data, only the merged weight
+            assert [a.nbytes for a in saved if a.nbytes > merged_bytes
+                    and not any(a is b for b in own)] == [], layout
+            assert any(a is x.data for a in saved)
 
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -268,6 +267,103 @@ class TestConv2dBands:
         gx, *gws = out._backprop(g)
         assert gx.dtype == dtype
         assert not gx.any() and not any(gw.any() for gw in gws)
+
+
+class TestConv2dBackward:
+    """The backward from output-gradient columns, with the band budget set
+    so that its bands over the input rows are one band, one-row bands,
+    three-row bands or two-sample bands, against the oracles in float64."""
+
+    # kernels, padding, number of taps in their union
+    CASES = {
+        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10),
+        "inct_5_7": ([(1, 5), (1, 7)], "same", 7),
+        "valid_3x3": ([(3, 3)], "valid", 9),
+        "one_by_one": ([(1, 1)], "same", 1),
+        "even_2x4": ([(2, 4)], "same", 8),
+    }
+    N, C_IN, C_OUT, H, W = 3, 3, 4, 7, 11
+
+    @classmethod
+    def budget(cls, layout, n_taps):
+        """Band bytes for the backward's bands over the input rows: one
+        band, one-row bands, three-row bands (the last one ragged) or two
+        whole samples per band (the last one ragged)."""
+        row = cls.C_OUT * n_taps * cls.W * 8
+        return {"one": ad._BAND_BYTES, "rows1": row, "rows3": 3 * row,
+                "samples2": 2 * cls.H * row}[layout]
+
+    @pytest.mark.parametrize("layout", ["one", "rows1", "rows3", "samples2"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_oracles(self, monkeypatch, name, layout):
+        kernels, padding, n_taps = self.CASES[name]
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((self.N, self.C_IN, self.H, self.W))
+        weights, biases = TestConv2dSum.branch_params(rng, kernels)
+        monkeypatch.setattr(ad, "_BAND_BYTES", self.budget(layout, n_taps))
+        xt = Tensor(x, requires_grad=True)
+        out = ad.conv2d_sum(xt, weights, biases, padding)
+        g = np.random.default_rng(17).standard_normal(out.shape)
+        gx, *grads = out._backprop(g)
+
+        loops = [conv2d_loop_grads(x, w.data, g, padding) for w in weights]
+        assert np.allclose(gx, sum(gxw for gxw, _ in loops), rtol=0, atol=1e-12)
+        for got, (_, want) in zip(grads, loops):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for got in grads[len(weights):]:
+            assert np.allclose(got, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+        xo = Tensor(x, requires_grad=True)
+        outs = [conv2d_im2col(xo, w, b, padding) for w, b in zip(weights, biases)]
+        want = [o._backprop(g) for o in outs]
+        assert np.allclose(gx, sum(w[0] for w in want), rtol=0, atol=1e-12)
+        for got, w in zip(grads, [w[1] for w in want] + [w[2] for w in want]):
+            assert np.allclose(got, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["even_2x4", "valid_3x3"])
+    def test_grad_check_multi_band(self, monkeypatch, name):
+        monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
+        kernels, padding, _ = self.CASES[name]
+
+        def fn(x, *params):
+            weights, biases = params[: len(kernels)], params[len(kernels):]
+            return ad.tsum(ad.conv2d_sum(x, weights, biases, padding) ** 2)
+
+        shapes = ([(2, 2, 5, 9)] + [(3, 2, kh, kw) for kh, kw in kernels]
+                  + [(3,)] * len(kernels))
+        assert grad_check(fn, shapes, seed=18) < 1e-4
+
+    @pytest.mark.parametrize("layout", ["one", "rows1"])
+    def test_constant_input_keeps_its_one_band(self, monkeypatch, layout):
+        kernels, padding, n_taps = self.CASES["inc01"]
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((self.N, self.C_IN, self.H, self.W))
+        weights, _ = TestConv2dSum.branch_params(rng, kernels)
+        all_columns = self.N * self.C_IN * n_taps * self.H * self.W * 8
+        if layout == "rows1":
+            monkeypatch.setattr(ad, "_BAND_BYTES",
+                                self.C_IN * n_taps * self.W * 8)
+        out = ad.conv2d_sum(Tensor(x), weights, [], padding)
+        kept = all_columns in [a.nbytes for a in _closure_arrays(out)]
+        assert kept == (layout == "one")
+        g = np.random.default_rng(20).standard_normal(out.shape)
+        gx, *gws = out._backprop(g)
+        assert gx is None
+        for got, w in zip(gws, weights):
+            want = conv2d_loop_grads(x, w.data, g, padding)[1]
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_input_flushes_subnormal_gradient(self, dtype):
+        rng = np.random.default_rng(21)
+        weights = [Tensor(w.data.astype(dtype), requires_grad=True)
+                   for w in TestConv2dSum.branch_params(
+                       rng, self.CASES["inc01"][0])[0]]
+        x = Tensor(rng.standard_normal((2, 3, 7, 11)).astype(dtype))
+        out = ad.conv2d_sum(x, weights, [])
+        g = np.full(out.shape, -np.finfo(dtype).tiny / 4, dtype=dtype)
+        gx, *gws = out._backprop(g)
+        assert gx is None and not any(gw.any() for gw in gws)
 
 
 class TestPooling:
@@ -306,6 +402,8 @@ class TestPooling:
         x[0, 0, :2, :2] = -0.0  # an all-negative-zero window
         x[-1, -1, :2, 2:] = 1.5  # ties: the first in row-major order wins
         x[0, -1, 2:4, :2] = [[-1.0, 2.0], [2.0, 2.0]]
+        x[-1, 0, 2:4, :2] = [[-0.0, 0.0], [-1.0, 0.0]]  # a ±0 tie
+        x[-1, -1, :2, :2] = [[1.0, -np.nan], [np.nan, 2.0]]  # the first NaN
         g = rng.standard_normal(
             shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(dtype)
         got = ad.pool2d(Tensor(x, requires_grad=True), mode, (2, 2))
@@ -409,6 +507,20 @@ class TestFusedNorms:
             grads.append([leaf.grad for leaf in leaves])
         for got, want in zip(*grads):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_norm_affine_gradients_are_the_sums(self, dtype):
+        rng = np.random.default_rng(22)
+        x = (rng.standard_normal((3, 4, 5, 6)) * 3 + 1).astype(dtype)
+        gamma, beta = (rng.standard_normal(4).astype(dtype) for _ in "gb")
+        g = rng.standard_normal(x.shape).astype(dtype)
+        out = ad.batch_norm(Tensor(x), Tensor(gamma, requires_grad=True),
+                            Tensor(beta), np.zeros(4), np.ones(4))
+        dx, ggamma, gbeta = out._backprop(g)
+        xhat = ad._standardize(x, (0, 2, 3), 1e-5)[0]
+        assert dx.dtype == ggamma.dtype == gbeta.dtype == dtype
+        assert ggamma.tobytes() == (g * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert gbeta.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_residual_norm_forward_bitwise(self, dtype):

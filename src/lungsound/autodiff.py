@@ -12,8 +12,6 @@ normalizations, dropout and attention.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, UsageError
@@ -60,9 +58,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
@@ -138,12 +133,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis, keepdims)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
 
 def _wrap(x, like):
@@ -366,9 +355,27 @@ def _flush_subnormal(g, out=None):
     return keep
 
 
-def _front(buf, shape):
-    """The first entries of the flat array `buf`, viewed as `shape`."""
-    return buf[: math.prod(shape)].reshape(shape)
+def _band_columns(src, taps, top, left, rows, width):
+    """The im2col columns of the N×C×… array `src`, one band at a time (see
+    `_bands`): yields ((i0, i1, r0, r1), columns) for samples i0:i1 and
+    rows r0:r1, where columns is samples × (C·taps) × (rows·width) and
+    entry (ch, t, r, x) is src[ch, top + dy_t + r0 + r, left + dx_t + x].
+    Every band is filled into the same buffer, so a band's columns are
+    valid until the next one is yielded."""
+    n, c = src.shape[:2]
+    k = c * len(taps)
+    bands = _bands(n, rows, k * width * src.itemsize)
+    # the first band is the largest: one buffer serves every band
+    i0, i1, r0, r1 = bands[0]
+    buf = np.empty((i1 - i0) * k * (r1 - r0) * width, dtype=src.dtype)
+    for band in bands:
+        i0, i1, r0, r1 = band
+        cols = buf[: (i1 - i0) * k * (r1 - r0) * width].reshape(
+            i1 - i0, c, len(taps), r1 - r0, width)
+        for t, (dy, dx) in enumerate(taps):
+            cols[:, :, t] = src[i0:i1, :, top + dy + r0 : top + dy + r1,
+                                left + dx : left + dx + width]
+        yield band, cols.reshape(i1 - i0, k, -1)
 
 
 def conv2d(x, w, bias, padding="same"):
@@ -388,8 +395,8 @@ def conv2d_sum(x, weights, biases, padding="same"):
     position; an im2col over the union of those offsets and a GEMM against
     the per-offset sum of the kernels' weights gives the sum of the
     separate convolutions. Each kernel's gradient is its own taps' slice of
-    the merged weight gradient. The columns are built one band of output
-    rows at a time (see `_bands`).
+    the merged weight gradient. All columns are built one band at a time by
+    `_band_columns`, and no node keeps any for its backward.
 
     The backward lays out im2col columns of the output gradient over the
     input's positions, one band of input rows at a time: entry (o, tap,
@@ -397,10 +404,10 @@ def conv2d_sum(x, weights, biases, padding="same"):
     weight, as C × (O·taps), they give the band's input gradient in one
     GEMM, and against the band's input the weight gradient in another, so
     the input's columns are never rebuilt and nothing is scattered. A node
-    whose input is a constant needs only the weight gradient, from its
-    input's columns: it keeps them when they fit in one band, else it
-    rebuilds each band. The backward flushes subnormal output gradients to
-    zero once per node; the bias gradient sums them as they are.
+    whose input is a constant needs only the weight gradient, which it
+    gets from its input's columns, built again band by band. The backward
+    flushes subnormal output gradients to zero once per node; the bias
+    gradient sums them as they are.
     """
     if x.ndim != 4 or not weights or any(w.ndim != 4 for w in weights):
         raise InvalidInputError("conv2d expects 4-d input and kernel")
@@ -437,82 +444,47 @@ def conv2d_sum(x, weights, biases, padding="same"):
     pads = ((0, 0), (0, 0), (top, ho - h + bottom), (left, wo - wd + right))
     k = c * len(taps)
 
-    def columns(xp, band, buf):
-        """The band's im2col, samples × (C·taps) × (rows·wo), in `buf`."""
-        i0, i1, r0, r1 = band
-        cols = _front(buf, (i1 - i0, c, len(taps), r1 - r0, wo))
-        for t, (dy, dx) in enumerate(taps):
-            cols[:, :, t] = xp[i0:i1, :, top + dy + r0 : top + dy + r1,
-                               left + dx : left + dx + wo]
-        return cols.reshape(i1 - i0, k, -1)
-
     xd = x.data
-    xp = np.pad(xd, pads)
-    bands = _bands(n, ho, k * wo * xp.itemsize)
-    # the first band is the largest: one buffer serves every band of a pass
-    i0, i1, r0, r1 = bands[0]
-    band_size = (i1 - i0) * k * (r1 - r0) * wo
     merged = np.zeros((o, c, len(taps)), dtype=weights[0].data.dtype)
     for w, slot in zip(weights, slots):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
     w2 = merged.reshape(o, k)
-    out = np.empty((n, o, ho, wo), dtype=np.result_type(w2.dtype, xp.dtype))
-    buf = np.empty(band_size, dtype=xp.dtype)
-    for band in bands:
-        i0, i1, r0, r1 = band
-        cols = columns(xp, band, buf)
+    out = np.empty((n, o, ho, wo), dtype=np.result_type(w2.dtype, xd.dtype))
+    for (i0, i1, r0, r1), cols in _band_columns(np.pad(xd, pads), taps, top,
+                                                left, ho, wo):
         # a view: a band's rows of one channel are contiguous in `out`
         np.matmul(w2, cols, out=out[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
     if biases:
         out += sum(b.data for b in biases).reshape(o, 1, 1)
-    # only a constant input's one band of columns is kept for backward
-    kept = cols if len(bands) == 1 and not x.requires_grad else None
-
-    def grads_from_output_columns(g):
-        """gx and the merged weight gradient, O × C × taps."""
-        # the flushed g, padded so that every tap's shift of the input rows
-        # and columns stays inside it
-        gp = np.zeros((n, o, bottom + h + top, right + wd + left),
-                      dtype=g.dtype)
-        _flush_subnormal(g, out=gp[:, :, bottom : bottom + ho,
-                                   right : right + wo])
-        w_r = merged.transpose(1, 0, 2).reshape(c, -1)
-        gx = np.empty(x.shape, dtype=g.dtype)
-        gw = np.zeros((o * len(taps), c), dtype=g.dtype)
-        gbands = _bands(n, h, o * len(taps) * wd * g.itemsize)
-        i0, i1, r0, r1 = gbands[0]
-        gbuf = np.empty((i1 - i0) * o * len(taps) * (r1 - r0) * wd,
-                        dtype=g.dtype)
-        for i0, i1, r0, r1 in gbands:
-            gc = _front(gbuf, (i1 - i0, o, len(taps), r1 - r0, wd))
-            for t, (dy, dx) in enumerate(taps):
-                gc[:, :, t] = gp[i0:i1, :, bottom - dy + r0 : bottom - dy + r1,
-                                 right - dx : right - dx + wd]
-            gc = gc.reshape(i1 - i0, -1, (r1 - r0) * wd)
-            # views, as in the forward
-            np.matmul(w_r, gc, out=gx[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1))
-            xb = xd[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1)
-            gw += np.matmul(gc, xb.transpose(0, 2, 1)).sum(axis=0)
-        return gx, gw.reshape(o, len(taps), c).transpose(0, 2, 1)
-
-    def weight_grad_from_input_columns(g):
-        """The merged weight gradient, O × C × taps."""
-        if kept is None:
-            xp, buf = np.pad(xd, pads), np.empty(band_size, dtype=xd.dtype)
-        gf = _flush_subnormal(g)
-        gw = np.zeros((o, k), dtype=g.dtype)
-        for band in bands:
-            i0, i1, r0, r1 = band
-            cols = kept if kept is not None else columns(xp, band, buf)
-            gband = gf[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1)
-            gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
-        return gw.reshape(o, c, len(taps))
 
     def backprop(g):
         if x.requires_grad:
-            gx, gw = grads_from_output_columns(g)
+            # the flushed g, padded so that every tap's shift of the input
+            # rows and columns stays inside it
+            gp = np.zeros((n, o, bottom + h + top, right + wd + left),
+                          dtype=g.dtype)
+            _flush_subnormal(g, out=gp[:, :, bottom : bottom + ho,
+                                       right : right + wo])
+            w_r = merged.transpose(1, 0, 2).reshape(c, -1)
+            gx = np.empty(x.shape, dtype=g.dtype)
+            gw = np.zeros((o * len(taps), c), dtype=g.dtype)
+            flipped = [(-dy, -dx) for dy, dx in taps]
+            for (i0, i1, r0, r1), gc in _band_columns(gp, flipped, bottom,
+                                                      right, h, wd):
+                # views, as in the forward
+                np.matmul(w_r, gc,
+                          out=gx[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1))
+                xb = xd[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1)
+                gw += np.matmul(gc, xb.transpose(0, 2, 1)).sum(axis=0)
+            gw = gw.reshape(o, len(taps), c).transpose(0, 2, 1)
         else:
-            gx, gw = None, weight_grad_from_input_columns(g)
+            gx, gf = None, _flush_subnormal(g)
+            gw = np.zeros((o, k), dtype=g.dtype)
+            for (i0, i1, r0, r1), cols in _band_columns(
+                    np.pad(xd, pads), taps, top, left, ho, wo):
+                gband = gf[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1)
+                gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
+            gw = gw.reshape(o, c, len(taps))
         gws = [gw[:, :, slot].reshape(w.shape) for w, slot in zip(weights, slots)]
         gb = g.reshape(n, o, -1).sum(axis=(0, 2))
         gbs = [gb.copy() for _ in biases]
@@ -548,17 +520,10 @@ def pool2d(x, mode, kernel, stride=None):
             out += part
         out /= 4
 
-        # both modes assign the gradient rather than sum it into zeros:
-        # + 0.0 turns a -0.0 into the 0.0 that such a sum gives
-        def backprop(g):
-            gx = np.empty(x.shape, dtype=g.dtype)
-            gs = g / 4
-            gs += 0.0
-            for rows, columns in corners:
-                gx[:, :, rows, columns] = gs
-            gx[:, :, 2 * ho :] = 0
-            gx[:, :, :, 2 * wo :] = 0
-            return (gx,)
+        def shares(g):
+            share = g / 4
+            share += 0.0
+            yield from [share] * 4
 
     elif mode == "max":
         out = np.maximum(parts[0], parts[1])
@@ -582,17 +547,26 @@ def pool2d(x, mode, kernel, stride=None):
             out[at] = window[pick, np.arange(pick.size)]
             first[at] = pick
 
-        def backprop(g):
-            gx = np.empty(x.shape, dtype=g.dtype)
+        def shares(g):
             g = g + 0.0
-            for k, (rows, columns) in enumerate(corners):
-                gx[:, :, rows, columns] = np.where(first == k, g, 0)
-            gx[:, :, 2 * ho :] = 0
-            gx[:, :, :, 2 * wo :] = 0
-            return (gx,)
+            for k in range(4):
+                yield np.where(first == k, g, 0)
 
     else:
         raise InvalidConfigError(f"unknown pool mode {mode!r}")
+
+    # each corner's share of g is assigned rather than summed into zeros:
+    # + 0.0 turns a -0.0 into the 0.0 that such a sum gives. The shares come
+    # one at a time, and none is held once assigned, so one is live at once
+    def backprop(g):
+        gx = np.empty(x.shape, dtype=g.dtype)
+        corner_shares = shares(g)
+        for rows, columns in corners:
+            gx[:, :, rows, columns] = next(corner_shares)
+        gx[:, :, 2 * ho :] = 0
+        gx[:, :, :, 2 * wo :] = 0
+        return (gx,)
+
     return _node(out, (x,), backprop)
 
 

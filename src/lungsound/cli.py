@@ -177,6 +177,10 @@ def cmd_evaluate(args):
     eval_idx = val_idx if val_idx else train_idx
     truth, probs = predict(model, items, eval_idx, cfg.augment.crop_bins)
     report = evaluate_predictions(truth, probs, task)
+    if not val_idx:
+        report = replace(report, flags=(*report.flags, "scored_training_split"))
+        print(f"task {args.task}: no validation split; scoring the training "
+              "split")
 
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
     report_path = os.path.join(args.out, "reports", f"task_{args.task}.json")

@@ -138,6 +138,7 @@ def load_wav(path):
                 raise FormatError(f"{path}: expected mono audio")
             if wav.getsampwidth() != 2:
                 raise FormatError(f"{path}: expected 16-bit PCM")
+            rate = wav.getframerate()
             n = wav.getnframes()
             payload = wav.readframes(n)
     except wave.Error as exc:
@@ -145,8 +146,6 @@ def load_wav(path):
     if len(payload) != 2 * n:
         raise FormatError(f"{path}: truncated WAV payload")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    with wave.open(str(path), "rb") as wav:
-        rate = wav.getframerate()
     return AudioClip(samples=samples, sample_rate=rate)
 
 

@@ -119,8 +119,7 @@ class Conv2d(Module):
     """A convolution; `bias=False` for one that feeds a BatchNorm, whose
     mean subtraction would give a bias an exact gradient of 0."""
 
-    def __init__(self, c_in, c_out, kh, kw, rng, dtype, padding="same",
-                 bias=True):
+    def __init__(self, c_in, c_out, kh, kw, rng, dtype, bias=True):
         fan_in = c_in * kh * kw
         fan_out = c_out * kh * kw
         self.weight = Tensor(
@@ -129,10 +128,9 @@ class Conv2d(Module):
         )
         self.bias = (Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
                      if bias else None)
-        self.padding = padding
 
     def __call__(self, x):
-        return ad.conv2d(x, self.weight, self.bias, self.padding)
+        return ad.conv2d(x, self.weight, self.bias)
 
 
 class Dense(Module):
@@ -148,18 +146,15 @@ class Dense(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, dtype, momentum=0.1):
+    def __init__(self, channels, dtype):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
 
     def __call__(self, x, training):
-        return ad.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            self.momentum, training,
-        )
+        return ad.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                             self.running_var, training=training)
 
 
 class MultiHeadAttention(Module):
@@ -333,13 +328,9 @@ class RespiratoryClassifier(Module):
             raise InvalidInputError(
                 f"model expects Nx1x{expected[0]}x{expected[1]}, got {x.shape}"
             )
-        dims = self.config.block_dims()
         x = self.doub_inc(x, training, rng)
-        _check_dims("doub_inc", x, dims[1])
         x = self.inc_res1(x, training, rng)
-        _check_dims("inc_res1", x, dims[2])
         x = self.inc_res2(x, training, rng)
-        _check_dims("inc_res2", x, dims[3])
         return self.head(pooling_maps(x), training, rng)
 
     __call__ = forward
@@ -353,11 +344,3 @@ class RespiratoryClassifier(Module):
     def zero_grad(self):
         for p in self.parameters().values():
             p.zero_grad()
-
-
-def _check_dims(block, x, expected):
-    c, f, t = expected
-    if x.shape[1:] != (c, f, t):
-        raise InvalidInputError(
-            f"{block}: expected {(c, f, t)} features, got {x.shape[1:]}"
-        )

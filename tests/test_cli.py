@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,30 @@ class TestEvaluateCommand:
             os.path.join(workspace["out"], "reports", "task_1-1.json")
         ).read()
         assert first == reference
+
+    def test_without_validation_split_flags_training_scores(
+            self, workspace, tmp_path, capsys):
+        manifest = data.DatasetManifest.load(workspace["manifest"])
+        train_only = replace(manifest, entries=tuple(
+            replace(e, split="train") for e in manifest.entries))
+        train_only.save(str(tmp_path / "manifest.json"))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--manifest", str(tmp_path / "manifest.json"),
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1",
+                     "--checkpoint", workspace["checkpoint"]]) == 0
+        assert "scoring the training split" in capsys.readouterr().out
+        with open(out / "reports" / "task_1-1.json") as fh:
+            rep = json.load(fh)
+        assert "scored_training_split" in rep["flags"]
+        # every sample is scored, not the 14 of the validation split
+        with open(out / "reports" / "task_1-1_predictions.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == np.sum(
+                rep["confusion_matrix"]) > 14
+        # a run with a validation split carries no such flag
+        with open(os.path.join(workspace["out"], "reports",
+                               "task_1-1.json")) as fh:
+            assert "scored_training_split" not in json.load(fh)["flags"]
 
     def test_missing_checkpoint_fails_cleanly(self, workspace, capsys):
         code = main(["evaluate", "--manifest", workspace["manifest"],

@@ -10,6 +10,8 @@ from .dsp import Spectrogram
 from .errors import InvalidConfigError, InvalidInputError
 
 LABEL_TOL = 1e-6
+# mixup's lambda ~ Beta(MIXUP_ALPHA, MIXUP_ALPHA)
+MIXUP_ALPHA = 0.4
 
 
 @dataclass(frozen=True)
@@ -29,15 +31,12 @@ class LabeledSpectrogram:
 @dataclass(frozen=True)
 class AugmentConfig:
     crop_bins: int = 10
-    mixup_alpha: float = 0.4
     mixup: bool = True
     oversample: bool = True
 
     def __post_init__(self):
         if self.crop_bins < 0:
             raise InvalidConfigError("crop_bins must be >= 0")
-        if self.mixup_alpha <= 0:
-            raise InvalidConfigError("mixup_alpha must be positive")
 
 
 def balanced_oversample(class_of, batch_size, rng_seed):
@@ -98,12 +97,13 @@ def center_crop(spec, crop_bins):
     return _crop(spec, crop_bins, crop_bins // 2, crop_bins // 2)
 
 
-def mixup(a, b, rng, alpha=0.4, lam=None):
-    """Convex combination of two labeled spectrograms, lambda ~ Beta(a, a)."""
+def mixup(a, b, rng, lam=None):
+    """Convex combination of two labeled spectrograms, lambda ~
+    Beta(MIXUP_ALPHA, MIXUP_ALPHA) unless given."""
     if a.spec.values.shape != b.spec.values.shape or a.label.shape != b.label.shape:
         raise InvalidInputError("mixup inputs must have identical dims")
     if lam is None:
-        lam = float(rng.beta(alpha, alpha))
+        lam = float(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA))
     values = lam * a.spec.values.astype(np.float64) + (1.0 - lam) * b.spec.values
     return LabeledSpectrogram(
         spec=Spectrogram(values=values),
@@ -113,7 +113,7 @@ def mixup(a, b, rng, alpha=0.4, lam=None):
 
 def make_batch(dataset, indices, config, rng):
     """Crop, then optionally mixup within the batch; returns the stacked
-    N×1×F×T array and the N×C soft-label matrix."""
+    float32 N×1×F×T array and the N×C soft-label matrix."""
     items = [dataset[i] for i in indices]
     cropped = [
         LabeledSpectrogram(
@@ -127,9 +127,9 @@ def make_batch(dataset, indices, config, rng):
             for i in range(len(cropped))
         ]
         cropped = [
-            mixup(item, cropped[j], rng, alpha=config.mixup_alpha)
+            mixup(item, cropped[j], rng)
             for item, j in zip(list(cropped), partners)
         ]
     batch = np.stack([c.spec.values for c in cropped])[:, None, :, :]
     labels = np.stack([c.label for c in cropped])
-    return batch.astype(np.float64), labels
+    return batch, labels

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError, UsageError
 
 AXIS_NAMES = {"channel": 1, "frequency": 2, "time": 3}
+# added to the variance under the square root of every normalization
+NORM_EPS = 1e-5
 
 _grad_enabled = True
 
@@ -493,21 +495,17 @@ def conv2d_sum(x, weights, biases, padding="same"):
     return _node(out, (x, *weights, *biases), backprop)
 
 
-def pool2d(x, mode, kernel, stride=None):
+def pool2d(x, mode):
     """2×2 pooling with stride 2 over the two trailing axes; an odd last
-    row or column is dropped. Any other kernel or stride is rejected.
+    row or column is dropped.
 
     avg sums the window in row-major order, starting from 0 as numpy's
     mean does, and divides by 4; max passes the gradient to the first
     maximum in row-major order, as argmax does.
     """
-    if tuple(kernel) != (2, 2) or (stride is not None
-                                   and tuple(stride) != (2, 2)):
-        raise InvalidConfigError(
-            f"only 2x2 pooling with stride 2 is supported, got {kernel}/{stride}")
     n, c, h, wd = x.shape
     if h < 2 or wd < 2:
-        raise InvalidConfigError(f"pool kernel {kernel} exceeds input {(h, wd)}")
+        raise InvalidConfigError(f"2x2 pool window exceeds input {(h, wd)}")
     ho, wo = h // 2, wd // 2
     # the four window positions as strided views, in row-major order
     corners = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2))
@@ -582,9 +580,9 @@ def global_max_over(x, axis):
 # -- normalizations ------------------------------------------------------------
 
 
-def _standardize(xd, axes, eps):
+def _standardize(xd, axes):
     """(xhat, 1/σ, mean, var) of xd over `axes`, with the biased variance
-    and xhat = (x - mean)·(var + eps)^-½, by the same array expressions,
+    and xhat = (x - mean)·(var + NORM_EPS)^-½, by the same array expressions,
     and so to the same bytes, as the tmean/power composite in
     `instance_norm_freq`."""
     total = xd.sum(axis=axes, keepdims=True)
@@ -592,7 +590,7 @@ def _standardize(xd, axes, eps):
     diff = xd - mu
     total = (diff ** 2.0).sum(axis=axes, keepdims=True)
     var = total * (total.size / xd.size)
-    inv = (var + eps) ** -0.5
+    inv = (var + NORM_EPS) ** -0.5
     return diff * inv, inv, mu, var
 
 
@@ -613,7 +611,7 @@ def _standardize_grad(g, xhat, inv, axes, scale=1.0):
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
-               training=True, eps=1e-5):
+               training=True):
     """Per-channel batch normalization over an N×C×F×T tensor.
 
     `running_mean`/`running_var` are plain arrays mutated in place during
@@ -627,11 +625,11 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
     if not training:
         # the float64 running stats take x's dtype where they meet it
         mu = running_mean.reshape(shape)
-        inv = 1.0 / np.sqrt(running_var.reshape(shape) + eps)
+        inv = 1.0 / np.sqrt(running_var.reshape(shape) + NORM_EPS)
         return (x - mu) * inv * gamma.reshape(shape) + beta.reshape(shape)
 
     axes = (0, 2, 3)
-    xhat, inv, mu, var = _standardize(x.data, axes, eps)
+    xhat, inv, mu, var = _standardize(x.data, axes)
     running_mean *= 1.0 - momentum
     running_mean += momentum * mu.reshape(c)
     running_var *= 1.0 - momentum
@@ -646,17 +644,17 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
                  backprop)
 
 
-def instance_norm_freq(x, eps=1e-5):
+def instance_norm_freq(x):
     """Normalize each (sample, channel, frequency-bin) row across time."""
     mu = tmean(x, axis=-1, keepdims=True)
     var = tmean((x - mu) ** 2, axis=-1, keepdims=True)
-    return (x - mu) * (var + eps) ** -0.5
+    return (x - mu) * (var + NORM_EPS) ** -0.5
 
 
-def residual_norm(x, lam, eps=1e-5):
+def residual_norm(x, lam):
     """lam·x plus `instance_norm_freq(x)`, as one node."""
     lam = float(lam)
-    xhat, inv, _, _ = _standardize(x.data, -1, eps)
+    xhat, inv, _, _ = _standardize(x.data, -1)
 
     def backprop(g):
         dx = _standardize_grad(g, xhat, inv, -1)[0]

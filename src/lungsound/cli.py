@@ -19,7 +19,7 @@ import numpy as np
 from . import data, dsp
 from .augment import LabeledSpectrogram
 from .config import load_run_config
-from .errors import InvalidConfigError, LungsoundError
+from .errors import FormatError, InvalidConfigError, LungsoundError
 from .evaluation import TASKS, evaluate_predictions
 from .model import RespiratoryClassifier
 from .training import fit, load_checkpoint, predict, write_history_csv
@@ -31,6 +31,8 @@ def _feature_dir(out, family, size, level):
 
 # clips of each level are tiled to one duration before the CWT
 _LEVEL_SECONDS = {"event": dsp.EVENT_SECONDS, "record": dsp.RECORD_SECONDS}
+# the string fields of each sample in a feature index
+_SAMPLE_KEYS = ("id", "cache", "label", "split")
 
 
 def _sample_ids(ann, level):
@@ -80,6 +82,25 @@ def extract_features(manifest, wavelet, size, level, feature_dir):
     return index
 
 
+def _load_index(path):
+    """A feature index written by `extract_features`; FormatError if the
+    file does not have its structure."""
+    try:
+        with open(path) as fh:
+            index = json.load(fh)
+    except ValueError as exc:
+        raise FormatError(f"{path}: corrupt feature index: {exc}") from exc
+    samples = index.get("samples") if isinstance(index, dict) else None
+    if not isinstance(samples, list) or not all(
+            isinstance(s, dict) and all(isinstance(s.get(k), str)
+                                        for k in _SAMPLE_KEYS)
+            for s in samples):
+        raise FormatError(
+            f"{path}: corrupt feature index: expected a samples list whose "
+            f"entries have string {', '.join(_SAMPLE_KEYS)}")
+    return index
+
+
 def _dataset_for_task(index, feature_dir, task):
     """LabeledSpectrogram list plus train/validation index lists."""
     items, train_idx, val_idx = [], [], []
@@ -108,8 +129,7 @@ def _prepare(args, level):
     fdir = _feature_dir(args.out, cfg.wavelet.family, cfg.size, level)
     index_path = os.path.join(fdir, "index.json")
     if os.path.exists(index_path):
-        with open(index_path) as fh:
-            index = json.load(fh)
+        index = _load_index(index_path)
     else:
         index = extract_features(manifest, cfg.wavelet, cfg.size, level, fdir)
     return cfg, manifest, fdir, index
@@ -162,10 +182,14 @@ def cmd_train(args):
     write_history_csv(
         os.path.join(args.out, f"history_task_{args.task}.csv"), result.history
     )
-    print(
-        f"task {args.task}: best validation Score {result.best_score:.4f} "
-        f"at epoch {result.best_epoch} -> {ckpt}"
-    )
+    if result.best_score is None:
+        print(f"task {args.task}: no validation split; kept the final "
+              f"checkpoint (epoch {result.best_epoch}) -> {ckpt}")
+    else:
+        print(
+            f"task {args.task}: best validation Score {result.best_score:.4f} "
+            f"at epoch {result.best_epoch} -> {ckpt}"
+        )
     return 0
 
 

@@ -104,13 +104,17 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            d = json.load(fh)
-        entries = tuple(
-            ManifestEntry(e["audio"], e["annotation"], e["split"])
-            for e in d["entries"]
-        )
-        return cls(root=d["root"], entries=entries)
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+            entries = tuple(
+                ManifestEntry(str(e["audio"]), str(e["annotation"]),
+                              str(e["split"]))
+                for e in d["entries"]
+            )
+            return cls(root=str(d["root"]), entries=entries)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -141,7 +145,7 @@ def load_wav(path):
             rate = wav.getframerate()
             n = wav.getnframes()
             payload = wav.readframes(n)
-    except wave.Error as exc:
+    except (wave.Error, EOFError) as exc:  # EOFError: header cut short
         raise FormatError(f"{path}: not a valid WAV file") from exc
     if len(payload) != 2 * n:
         raise FormatError(f"{path}: truncated WAV payload")

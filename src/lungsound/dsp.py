@@ -27,6 +27,14 @@ TARGET_RATE = 4000
 EVENT_SECONDS = 10.0
 RECORD_SECONDS = 30.0
 
+# mother-wavelet shape parameters. A cache file's name records only the
+# family, so a change to any of these must bump CACHE_VERSION
+MORSE_GAMMA = 3.0
+MORSE_BETA = 20.0
+AMOR_CENTER_FREQ = 6.0
+BUMP_MU = 5.0
+BUMP_SIGMA = 0.6
+
 CACHE_MAGIC = b"LSSG"
 CACHE_VERSION = 1
 
@@ -58,11 +66,6 @@ class AudioClip:
 @dataclass(frozen=True)
 class WaveletSpec:
     family: str = "bump"
-    morse_gamma: float = 3.0
-    morse_beta: float = 20.0
-    amor_center_freq: float = 6.0
-    bump_mu: float = 5.0
-    bump_sigma: float = 0.6
 
     FAMILIES = ("morse", "amor", "bump")
 
@@ -70,19 +73,15 @@ class WaveletSpec:
         object.__setattr__(self, "family", self.family.lower())
         if self.family not in self.FAMILIES:
             raise InvalidConfigError(f"unknown wavelet family {self.family!r}")
-        if self.morse_gamma <= 0 or self.morse_beta <= 0:
-            raise InvalidConfigError("morse parameters must be positive")
-        if not 0 < self.bump_sigma < self.bump_mu:
-            raise InvalidConfigError("bump requires 0 < sigma < mu")
 
     @property
     def peak_omega(self):
         """Angular frequency (rad/sample at scale 1) of max wavelet response."""
         if self.family == "morse":
-            return (self.morse_beta / self.morse_gamma) ** (1.0 / self.morse_gamma)
+            return (MORSE_BETA / MORSE_GAMMA) ** (1.0 / MORSE_GAMMA)
         if self.family == "amor":
-            return self.amor_center_freq
-        return self.bump_mu
+            return AMOR_CENTER_FREQ
+        return BUMP_MU
 
     def freq_response(self, omega):
         """Evaluate the analytic mother wavelet at angular frequencies
@@ -91,55 +90,32 @@ class WaveletSpec:
         pos = omega > 0
         out = np.zeros_like(omega)
         if self.family == "morse":
-            g, b = self.morse_gamma, self.morse_beta
+            g, b = MORSE_GAMMA, MORSE_BETA
             wp = self.peak_omega
             norm = 2.0 / (wp**b * np.exp(-(wp**g)))
             w = omega[pos]
             out[pos] = norm * w**b * np.exp(-(w**g))
         elif self.family == "amor":
-            out[pos] = 2.0 * np.exp(-0.5 * (omega[pos] - self.amor_center_freq) ** 2)
+            out[pos] = 2.0 * np.exp(-0.5 * (omega[pos] - AMOR_CENTER_FREQ) ** 2)
         else:
-            w = (omega - self.bump_mu) / self.bump_sigma
+            w = (omega - BUMP_MU) / BUMP_SIGMA
             inside = pos & (np.abs(w) < 1.0)
             with np.errstate(divide="ignore"):
                 out[inside] = 2.0 * np.exp(1.0 - 1.0 / (1.0 - w[inside] ** 2))
         return out
 
 
-@dataclass(frozen=True)
-class ScaleGrid:
-    scales: np.ndarray
-    center_freqs: np.ndarray
-
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=np.float64)
-        freqs = np.asarray(self.center_freqs, dtype=np.float64)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "center_freqs", freqs)
-        if scales.size != freqs.size or scales.size == 0:
-            raise InvalidConfigError("scales and center_freqs must align")
-        if np.any(scales <= 0):
-            raise InvalidConfigError("scales must be positive")
-        if np.any(np.diff(scales) <= 0) or np.any(np.diff(freqs) >= 0):
-            raise InvalidConfigError(
-                "scales must increase and center frequencies decrease"
-            )
-
-    def __len__(self):
-        return self.scales.size
-
-
 def make_scale_grid(spec, n_bins, sample_rate,
                     f_lo=FREQ_LO_HZ, f_hi=FREQ_HI_HZ):
-    """Log-spaced grid whose wavelet center frequencies span [f_lo, f_hi],
-    highest frequency first (matches spectrogram row order)."""
+    """Increasing scales whose wavelet center frequencies are log-spaced
+    over [f_lo, f_hi], highest frequency first (matches spectrogram row
+    order)."""
     if n_bins < 1:
         raise InvalidConfigError("n_bins must be >= 1")
     if not 0 < f_lo < f_hi <= sample_rate / 2:
         raise InvalidConfigError("frequency span must sit below Nyquist")
     freqs = np.geomspace(f_hi, f_lo, n_bins)
-    scales = spec.peak_omega * sample_rate / (2.0 * np.pi * freqs)
-    return ScaleGrid(scales=scales, center_freqs=freqs)
+    return spec.peak_omega * sample_rate / (2.0 * np.pi * freqs)
 
 
 @dataclass(frozen=True)
@@ -254,16 +230,17 @@ def _filter_bank(spec, scales, p):
     return tuple(bank)
 
 
-def cwt(clip, spec, grid, columns=None):
+def cwt(clip, spec, scales, columns=None):
     """FFT-based CWT; row i is the cross-correlation of the signal with the
-    conjugate wavelet at grid.scales[i]. Output is complex, len(grid)×N, or
-    len(grid)×len(columns) holding only those sample columns."""
+    conjugate wavelet at scales[i]. Output is complex, len(scales)×N, or
+    len(scales)×len(columns) holding only those sample columns."""
     x = clip.samples
     if x.size < 2:
         raise InvalidInputError("cwt needs at least two samples")
+    scales = np.asarray(scales, dtype=np.float64)
     xp, left = _pad_signal(x)
     p = xp.size
-    max_scale = float(np.max(grid.scales))
+    max_scale = float(np.max(scales))
     if SUPPORT_PER_SCALE * max_scale > p:
         raise InvalidConfigError(
             f"scale {max_scale:.1f} has support beyond the padded signal ({p})"
@@ -278,8 +255,8 @@ def cwt(clip, spec, grid, columns=None):
         keep = left + columns
         n_keep = columns.size
     xf = np.fft.fft(xp)
-    bank = _filter_bank(spec, grid.scales.tobytes(), p)
-    out = np.empty((len(grid), n_keep), dtype=np.complex128)
+    bank = _filter_bank(spec, scales.tobytes(), p)
+    out = np.empty((scales.size, n_keep), dtype=np.complex128)
     for start in range(0, len(bank), _IFFT_ROWS):
         rows = bank[start : start + _IFFT_ROWS]
         # the responses are real: over each support this is
@@ -359,17 +336,16 @@ def _interp_axis(v, n_out, axis, n_in=None):
     return lo * (1.0 - frac) + hi * frac
 
 
-def extract_spectrogram(clip, wavelet, f_bins, t_frames,
-                        target_seconds, target_rate=TARGET_RATE):
+def extract_spectrogram(clip, wavelet, f_bins, t_frames, target_seconds):
     """Full front-end chain for one clip. The CWT and the dB compression
     run only at the native columns the resize reads; the result equals
-    resize(log_magnitude(cwt(clip, wavelet, grid)), f_bins, t_frames)."""
-    clip = resample(clip, target_rate)
+    resize(log_magnitude(cwt(clip, wavelet, scales)), f_bins, t_frames)."""
+    clip = resample(clip, TARGET_RATE)
     clip = tile_to_duration(clip, target_seconds)
     clip = bandpass(clip, FREQ_LO_HZ, FREQ_HI_HZ)
-    grid = make_scale_grid(wavelet, f_bins, clip.sample_rate)
+    scales = make_scale_grid(wavelet, f_bins, clip.sample_rate)
     n = clip.samples.size
-    coeffs = cwt(clip, wavelet, grid, columns=resize_columns(n, t_frames))
+    coeffs = cwt(clip, wavelet, scales, columns=resize_columns(n, t_frames))
     return resize(log_magnitude(coeffs), f_bins, t_frames, native_frames=n)
 
 

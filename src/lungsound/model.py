@@ -225,7 +225,7 @@ class DoubIncBlock(Module):
     def __call__(self, x, training, rng):
         x = ad.relu(self.bn_a(self.inc_a(x), training))
         x = ad.relu(self.bn_b(self.inc_b(x), training))
-        x = ad.pool2d(x, "avg", (2, 2))
+        x = ad.pool2d(x, "avg")
         x = ad.dropout(x, self.drop, training, rng)
         return residual_norm(x, self.rn_lambda)
 
@@ -250,13 +250,12 @@ class IncResBlock(Module):
 
     def __call__(self, x, training, rng):
         b1 = residual_norm(
-            ad.pool2d(ad.relu(self.inc_ft(x)), "avg", (2, 2)), self.rn_lambda
+            ad.pool2d(ad.relu(self.inc_ft(x)), "avg"), self.rn_lambda
         )
         b2 = residual_norm(
-            ad.pool2d(ad.relu(self.inc_t(x)), "avg", (2, 2)), self.rn_lambda
+            ad.pool2d(ad.relu(self.inc_t(x)), "avg"), self.rn_lambda
         )
-        res = ad.pool2d(self.shortcut_bn(self.shortcut(x), training),
-                        "max", (2, 2))
+        res = ad.pool2d(self.shortcut_bn(self.shortcut(x), training), "max")
         return ad.dropout(b1 + b2 + res, self.drop, training, rng)
 
 

@@ -24,6 +24,10 @@ from .model import ModelConfig, RespiratoryClassifier, typed_like
 CHECKPOINT_MAGIC = b"LSCK"
 CHECKPOINT_VERSION = 4
 PRED_FLOOR = 1e-8
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+# samples per eval-mode forward pass
+EVAL_BATCH = 32
 
 HISTORY_COLUMNS = ("epoch", "split", "loss", "SE", "SP", "AS", "HS", "Score")
 
@@ -74,18 +78,16 @@ def kl_loss(y, y_hat, params=(), l2_lambda=0.0):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
         for name, p in self.params.items():
@@ -95,7 +97,7 @@ class Adam:
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             update = (self.m[name] / bias1) / (
-                np.sqrt(self.v[name] / bias2) + self.eps
+                np.sqrt(self.v[name] / bias2) + ADAM_EPS
             )
             p.data = p.data - self.lr * update
 
@@ -118,7 +120,7 @@ def train_step(model, batch, labels, optimizer, l2_lambda):
 @dataclass
 class FitResult:
     history: list
-    best_score: float
+    best_score: float | None
     best_epoch: int
     checkpoint_path: str | None
 
@@ -132,29 +134,32 @@ def _stack_eval(dataset, indices, crop_bins):
     return np.stack(specs)[:, None, :, :], np.asarray(labels)
 
 
-def predict(model, dataset, indices, crop_bins, batch_size=32):
+def predict(model, dataset, indices, crop_bins):
     """Eval-mode class probabilities of center-cropped spectrograms, one
-    forward pass per batch. Returns (truth class ids, probabilities)."""
+    forward pass per EVAL_BATCH samples. Returns (truth class ids,
+    probabilities)."""
     truths, probs = [], []
     with ad.no_grad():
-        for start in range(0, len(indices), batch_size):
-            chunk = indices[start : start + batch_size]
+        for start in range(0, len(indices), EVAL_BATCH):
+            chunk = indices[start : start + EVAL_BATCH]
             batch, truth = _stack_eval(dataset, chunk, crop_bins)
             probs.append(model.forward(batch, training=False).data)
             truths.append(truth)
     return np.concatenate(truths), np.concatenate(probs)
 
 
-def evaluate_model(model, dataset, indices, task, crop_bins, batch_size=32):
+def evaluate_model(model, dataset, indices, task, crop_bins):
     """Deterministic eval-mode scoring on center-cropped spectrograms."""
-    truth, probs = predict(model, dataset, indices, crop_bins, batch_size)
+    truth, probs = predict(model, dataset, indices, crop_bins)
     return evaluate_predictions(truth, probs, task)
 
 
 def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
         checkpoint_path=None):
     """Balanced-batch training with periodic validation scoring; keeps the
-    checkpoint of the best validation Score."""
+    checkpoint of the best validation Score. Without a validation split it
+    keeps the final checkpoint, with best_score None and best_epoch the
+    last epoch."""
     if not train_idx:
         raise InvalidInputError("empty training split")
     cfg = train_config
@@ -206,6 +211,8 @@ def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
                     break
     if checkpoint_path and best_epoch < 0:
         save_checkpoint(checkpoint_path, model, optimizer, cfg.seed, cfg.epochs)
+    if not val_idx:  # nothing to score, so nothing stopped training early
+        best_score, best_epoch = None, cfg.epochs
     return FitResult(
         history=history,
         best_score=best_score,

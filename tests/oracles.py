@@ -38,31 +38,31 @@ def grad_check(fn, shapes, seed=0, h=1e-4):
     return worst
 
 
-def cwt_direct(clip, spec, grid):
+def cwt_direct(clip, spec, scales):
     """Time-domain oracle for `dsp.cwt`: explicit circular correlation
     against the wavelet kernels. O(F·P²); only for short signals."""
     x = clip.samples
     xp, left = _pad_signal(x)
     p = xp.size
     omega = 2.0 * np.pi * np.fft.fftfreq(p)
-    out = np.empty((len(grid), x.size), dtype=np.complex128)
+    out = np.empty((len(scales), x.size), dtype=np.complex128)
     idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-    for i, s in enumerate(grid.scales):
+    for i, s in enumerate(scales):
         kernel = np.fft.ifft(spec.freq_response(s * omega))
         row = np.conj(kernel)[idx] @ xp
         out[i] = row[left : left + x.size]
     return out
 
 
-def cwt_dense(clip, spec, grid):
+def cwt_dense(clip, spec, scales):
     """`dsp.cwt` as one full-length product and inverse FFT per row, with
     the filter bank rebuilt on every call."""
     x = clip.samples
     xp, left = _pad_signal(x)
     omega = 2.0 * np.pi * np.fft.fftfreq(xp.size)
     xf = np.fft.fft(xp)
-    out = np.empty((len(grid), x.size), dtype=np.complex128)
-    for i, s in enumerate(grid.scales):
+    out = np.empty((len(scales), x.size), dtype=np.complex128)
+    for i, s in enumerate(scales):
         row = scipy.fft.ifft(xf * np.conj(spec.freq_response(s * omega)))
         out[i] = row[left : left + x.size]
     return out

@@ -135,8 +135,9 @@ class TestMakeBatch:
         cfg = AugmentConfig(crop_bins=0, mixup=False, oversample=False)
         batch, labels = make_batch(data, [0, 1, 2], cfg, rng)
         assert batch.shape == (3, 1, 14, 18)
+        assert batch.dtype == np.float32  # as Spectrogram stores it
         for i, idx in enumerate([0, 1, 2]):
-            assert np.allclose(batch[i, 0], data[idx].spec.values)
+            assert np.array_equal(batch[i, 0], data[idx].spec.values)
             assert np.array_equal(labels[i], data[idx].label)
 
     def test_labels_stay_on_simplex(self):

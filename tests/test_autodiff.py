@@ -369,28 +369,21 @@ class TestConv2dBackward:
 class TestPooling:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2))
-        assert ad.pool2d(x, "avg", (2, 2)).data[0, 0, 0, 0] == 4.0
+        assert ad.pool2d(x, "avg").data[0, 0, 0, 0] == 4.0
 
     def test_max_2x2(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2))
-        assert ad.pool2d(x, "max", (2, 2)).data[0, 0, 0, 0] == 7.0
+        assert ad.pool2d(x, "max").data[0, 0, 0, 0] == 7.0
 
     def test_floor_division_drops_remainder(self):
         x = Tensor(np.random.default_rng(0).standard_normal((1, 1, 5, 7)))
-        out = ad.pool2d(x, "avg", (2, 2))
+        out = ad.pool2d(x, "avg")
         assert out.shape == (1, 1, 2, 3)
 
     def test_kernel_too_large_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ad.pool2d(Tensor(np.zeros((1, 1, 2, 2))), "avg", (3, 3))
-
-    @pytest.mark.parametrize("kernel, stride", [
-        ((3, 3), None), ((2, 3), None), ((1, 1), None), ((2, 2), (1, 1)),
-        ((2, 2), (2, 1)),
-    ])
-    def test_only_2x2_stride_2_accepted(self, kernel, stride):
-        with pytest.raises(InvalidConfigError):
-            ad.pool2d(Tensor(np.zeros((1, 1, 8, 8))), "max", kernel, stride)
+        for shape in [(1, 1, 1, 2), (1, 1, 2, 1)]:
+            with pytest.raises(InvalidConfigError):
+                ad.pool2d(Tensor(np.zeros(shape)), "avg")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["avg", "max"])
@@ -406,7 +399,7 @@ class TestPooling:
         x[-1, -1, :2, :2] = [[1.0, -np.nan], [np.nan, 2.0]]  # the first NaN
         g = rng.standard_normal(
             shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(dtype)
-        got = ad.pool2d(Tensor(x, requires_grad=True), mode, (2, 2))
+        got = ad.pool2d(Tensor(x, requires_grad=True), mode)
         want = pool2d_windows(Tensor(x, requires_grad=True), mode, (2, 2))
         assert got.data.dtype == dtype
         assert got.data.tobytes() == want.data.tobytes()
@@ -415,7 +408,7 @@ class TestPooling:
     def test_max_routes_ties_to_first_element(self):
         x = Tensor(np.array([[2.0, 1.0], [2.0, 2.0]]).reshape(1, 1, 2, 2),
                    requires_grad=True)
-        ad.tsum(ad.pool2d(x, "max", (2, 2))).backward()
+        ad.tsum(ad.pool2d(x, "max")).backward()
         assert np.array_equal(x.grad.reshape(2, 2), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_global_variants_match_loop_oracle(self):
@@ -517,7 +510,7 @@ class TestFusedNorms:
         out = ad.batch_norm(Tensor(x), Tensor(gamma, requires_grad=True),
                             Tensor(beta), np.zeros(4), np.ones(4))
         dx, ggamma, gbeta = out._backprop(g)
-        xhat = ad._standardize(x, (0, 2, 3), 1e-5)[0]
+        xhat = ad._standardize(x, (0, 2, 3))[0]
         assert dx.dtype == ggamma.dtype == gbeta.dtype == dtype
         assert ggamma.tobytes() == (g * xhat).sum(axis=(0, 2, 3)).tobytes()
         assert gbeta.tobytes() == g.sum(axis=(0, 2, 3)).tobytes()
@@ -810,14 +803,14 @@ class TestGradCheck:
 
     def test_pool_avg(self):
         err = grad_check(
-            lambda x: ad.tsum(ad.pool2d(x, "avg", (2, 2)) ** 2),
+            lambda x: ad.tsum(ad.pool2d(x, "avg") ** 2),
             [(2, 2, 4, 6)], seed=3,
         )
         assert err < self.TOL
 
     def test_pool_max(self):
         err = grad_check(
-            lambda x: ad.tsum(ad.pool2d(x, "max", (2, 2)) ** 2),
+            lambda x: ad.tsum(ad.pool2d(x, "max") ** 2),
             [(2, 2, 4, 4)], seed=4,
         )
         assert err < self.TOL

@@ -12,6 +12,7 @@ from lungsound.cli import main
 from lungsound.dsp import WaveletSpec, load_spectrogram
 from lungsound.errors import InvalidConfigError
 from lungsound.model import RespiratoryClassifier
+from lungsound.training import load_checkpoint
 
 TINY_CONFIG = """
 seed = 0
@@ -156,6 +157,26 @@ class TestTrainCommand:
         assert lines[0].startswith("epoch,split,loss")
         assert len(lines) == 3  # header + one row per epoch
 
+    def test_without_validation_split_keeps_final_checkpoint(
+            self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(os.path.join(workspace["out"], "features"),
+                        out / "features")
+        index_path = out / "features" / "bump_48x48_event" / "index.json"
+        index = json.loads(index_path.read_text())
+        for sample in index["samples"]:
+            sample["split"] = "train"
+        index_path.write_text(json.dumps(index))
+        ckpt = str(tmp_path / "final.lsck")
+        assert main(["train", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1", "--checkpoint", ckpt]) == 0
+        assert (f"task 1-1: no validation split; kept the final checkpoint "
+                f"(epoch 2) -> {ckpt}") in capsys.readouterr().out
+        assert load_checkpoint(ckpt)[3] == 2
+        history = (out / "history_task_1-1.csv").read_text()
+        assert history.splitlines()[1:] == []
+
 
 class TestEvaluateCommand:
     def test_report_json_contents(self, workspace):
@@ -274,3 +295,48 @@ class TestErrorHandling:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [b"", b"RIFF"],
+                             ids=["empty", "riff_only"])
+    def test_truncated_wav_fails_cleanly(self, synth_dataset, tmp_path,
+                                         capsys, payload):
+        entry = synth_dataset.entries[0]
+        shutil.copy(os.path.join(synth_dataset.root, entry.annotation),
+                    tmp_path / "a.json")
+        (tmp_path / "a.wav").write_bytes(payload)
+        manifest = data.DatasetManifest(
+            root=str(tmp_path),
+            entries=(data.ManifestEntry("a.wav", "a.json", "train"),))
+        manifest.save(str(tmp_path / "manifest.json"))
+        code = main(["extract", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "a.wav: not a valid WAV file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '{"root": ".", "entries": [{"audio": "a.wav", "split": "train"}]}',
+    ], ids=["not_json", "entry_without_annotation"])
+    def test_malformed_manifest_fails_cleanly(self, tmp_path, capsys, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        code = main(["extract", "--manifest", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {path}: malformed manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"samples": 5}', "[]", '{"samples": [{"id": "x"}]}', "{",
+    ], ids=["samples_not_a_list", "not_an_object", "sample_without_fields",
+            "not_json"])
+    def test_corrupt_feature_index_fails_cleanly(self, workspace, tmp_path,
+                                                 capsys, text):
+        index = tmp_path / "features" / "bump_48x48_event" / "index.json"
+        index.parent.mkdir(parents=True)
+        index.write_text(text)
+        code = main(["train", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(tmp_path),
+                     "--task", "1-1"])
+        assert code == 1
+        assert f"error: {index}: corrupt feature index" in (
+            capsys.readouterr().err)

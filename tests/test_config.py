@@ -15,15 +15,9 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 NON_DEFAULT = {
     "seed": ("7", "seed", 7),
     "wavelet.family": ("morse", "wavelet.family", "morse"),
-    "wavelet.morse_gamma": ("4.0", "wavelet.morse_gamma", 4.0),
-    "wavelet.morse_beta": ("10", "wavelet.morse_beta", 10.0),
-    "wavelet.amor_center_freq": ("5.5", "wavelet.amor_center_freq", 5.5),
-    "wavelet.bump_mu": ("6.0", "wavelet.bump_mu", 6.0),
-    "wavelet.bump_sigma": ("0.5", "wavelet.bump_sigma", 0.5),
     "spectrogram.size": ("140x256", "size", (140, 256)),
     "spectrogram.allow_custom_size": ("yes", "allow_custom_size", True),
     "augment.crop_bins": ("4", "augment.crop_bins", 4),
-    "augment.mixup_alpha": ("0.2", "augment.mixup_alpha", 0.2),
     "augment.mixup": ("false", "augment.mixup", False),
     "augment.oversample": ("0", "augment.oversample", False),
     "train.epochs": ("3", "train.epochs", 3),
@@ -116,7 +110,7 @@ class TestLoadRunConfig:
 
 class TestSchema:
     def test_accepted_keys_are_exactly_these(self):
-        assert len(NON_DEFAULT) == 26
+        assert len(NON_DEFAULT) == 20
         assert set(config_keys()) == set(NON_DEFAULT)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))

@@ -276,6 +276,16 @@ class TestFit:
         assert result.history == []
         assert result.best_epoch == -1
 
+    def test_without_validation_split_keeps_final_checkpoint(self, tmp_path):
+        train, aug = self.cfgs(2)
+        path = tmp_path / "final.lsck"
+        result = tr.fit(tiny_model(), self.make_dataset(), list(range(12)),
+                        [], TASKS["2-1"], train, aug, checkpoint_path=path)
+        assert result.history == []
+        assert result.best_score is None
+        assert result.best_epoch == 2
+        assert tr.load_checkpoint(path)[3] == 2
+
     def test_history_rows_have_expected_columns(self):
         model = tiny_model()
         train, aug = self.cfgs(2)

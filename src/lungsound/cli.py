@@ -1,8 +1,11 @@
 """Command-line entry points: synth, extract, train, evaluate, report.
 
-Spectrogram caches live under OUT/features/<family>_<FxT>_<level>/; train
-and evaluate reuse them when present and compute any that are missing, so
-the commands also work standalone.
+Spectrogram caches live under OUT/features/<family>_<FxT>_<level>/. Every
+command that needs features (extract, train, evaluate) builds the feature
+index from the manifest it is given, reusing each cached spectrogram and
+computing any that is missing, so a run's samples and splits always come
+from its manifest and the commands also work standalone. The index.json
+written next to the caches is a record for readers; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import data, dsp
 from .augment import LabeledSpectrogram
 from .config import load_run_config
-from .errors import FormatError, InvalidConfigError, LungsoundError
+from .errors import InvalidConfigError, LungsoundError
 from .evaluation import TASKS, evaluate_predictions
 from .model import RespiratoryClassifier
 from .training import fit, load_checkpoint, predict, write_history_csv
@@ -31,8 +34,6 @@ def _feature_dir(out, family, size, level):
 
 # clips of each level are tiled to one duration before the CWT
 _LEVEL_SECONDS = {"event": dsp.EVENT_SECONDS, "record": dsp.RECORD_SECONDS}
-# the string fields of each sample in a feature index
-_SAMPLE_KEYS = ("id", "cache", "label", "split")
 
 
 def _sample_ids(ann, level):
@@ -82,25 +83,6 @@ def extract_features(manifest, wavelet, size, level, feature_dir):
     return index
 
 
-def _load_index(path):
-    """A feature index written by `extract_features`; FormatError if the
-    file does not have its structure."""
-    try:
-        with open(path) as fh:
-            index = json.load(fh)
-    except ValueError as exc:
-        raise FormatError(f"{path}: corrupt feature index: {exc}") from exc
-    samples = index.get("samples") if isinstance(index, dict) else None
-    if not isinstance(samples, list) or not all(
-            isinstance(s, dict) and all(isinstance(s.get(k), str)
-                                        for k in _SAMPLE_KEYS)
-            for s in samples):
-        raise FormatError(
-            f"{path}: corrupt feature index: expected a samples list whose "
-            f"entries have string {', '.join(_SAMPLE_KEYS)}")
-    return index
-
-
 def _dataset_for_task(index, feature_dir, task):
     """LabeledSpectrogram list plus train/validation index lists."""
     items, train_idx, val_idx = [], [], []
@@ -117,8 +99,12 @@ def _dataset_for_task(index, feature_dir, task):
 
 
 def _prepare(args, level):
+    """(run config, feature directory, feature index) of the manifest's
+    samples at `level`. The config is the command's --config file, optional
+    for extract, with its command-line overrides applied."""
     cfg = load_run_config(
         path=args.config,
+        text="" if args.config is None else None,
         overrides={
             "seed": getattr(args, "seed", None),
             "wavelet.family": getattr(args, "wavelet", None),
@@ -127,12 +113,8 @@ def _prepare(args, level):
     )
     manifest = data.DatasetManifest.load(args.manifest)
     fdir = _feature_dir(args.out, cfg.wavelet.family, cfg.size, level)
-    index_path = os.path.join(fdir, "index.json")
-    if os.path.exists(index_path):
-        index = _load_index(index_path)
-    else:
-        index = extract_features(manifest, cfg.wavelet, cfg.size, level, fdir)
-    return cfg, manifest, fdir, index
+    return cfg, fdir, extract_features(manifest, cfg.wavelet, cfg.size,
+                                       level, fdir)
 
 
 def cmd_synth(args):
@@ -146,25 +128,15 @@ def cmd_synth(args):
 
 
 def cmd_extract(args):
-    cfg = load_run_config(
-        path=args.config,
-        text="" if args.config is None else None,
-        overrides={
-            "wavelet.family": args.wavelet,
-            "spectrogram.size": args.size,
-        },
-    )
-    manifest = data.DatasetManifest.load(args.manifest)
     for level in args.levels.split(","):
-        fdir = _feature_dir(args.out, cfg.wavelet.family, cfg.size, level)
-        index = extract_features(manifest, cfg.wavelet, cfg.size, level, fdir)
+        _, fdir, index = _prepare(args, level)
         print(f"{len(index['samples'])} {level} spectrograms in {fdir}")
     return 0
 
 
 def cmd_train(args):
     task = TASKS[args.task]
-    cfg, _, fdir, index = _prepare(args, task.level)
+    cfg, fdir, index = _prepare(args, task.level)
     _, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     crop = cfg.augment.crop_bins
     model_config = replace(
@@ -183,8 +155,10 @@ def cmd_train(args):
         os.path.join(args.out, f"history_task_{args.task}.csv"), result.history
     )
     if result.best_score is None:
-        print(f"task {args.task}: no validation split; kept the final "
-              f"checkpoint (epoch {result.best_epoch}) -> {ckpt}")
+        why = ("no validation split" if not val_idx else
+               f"no evaluation in {cfg.train.epochs} epochs")
+        print(f"task {args.task}: {why}; kept the final checkpoint "
+              f"(epoch {result.best_epoch}) -> {ckpt}")
     else:
         print(
             f"task {args.task}: best validation Score {result.best_score:.4f} "
@@ -195,7 +169,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     task = TASKS[args.task]
-    cfg, _, fdir, index = _prepare(args, task.level)
+    cfg, fdir, index = _prepare(args, task.level)
     ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     model, _, _, _ = load_checkpoint(args.checkpoint)
     eval_idx = val_idx if val_idx else train_idx

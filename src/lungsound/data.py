@@ -20,6 +20,8 @@ from .errors import DataError, FormatError, InvalidInputError
 from .evaluation import EVENT_LABELS, RECORD_LABELS
 
 SYNTH_RATE = 8000
+# the splits a manifest entry may name
+SPLITS = ("train", "validation")
 
 # event class -> recording-level class for synthesized recordings
 EVENT_TO_RECORD = {
@@ -72,7 +74,8 @@ class AnnotationRecord:
                 for e in d["event_annotation"]
             )
             return cls(recording_id, str(d["record_annotation"]), events)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an infinite time, such as 1e400, read as int
             raise DataError(f"{recording_id}: malformed annotation") from exc
 
 
@@ -112,9 +115,15 @@ class DatasetManifest:
                               str(e["split"]))
                 for e in d["entries"]
             )
-            return cls(root=str(d["root"]), entries=entries)
+            root = str(d["root"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
+        for k, e in enumerate(entries):
+            if e.split not in SPLITS:
+                raise DataError(
+                    f"{path}: entry {k} ({e.audio}) has split {e.split!r}; "
+                    f"expected one of {', '.join(SPLITS)}")
+        return cls(root=root, entries=entries)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -122,8 +131,14 @@ class DatasetManifest:
 
     def load_annotation(self, entry):
         rec_id = os.path.splitext(os.path.basename(entry.audio))[0]
-        with open(os.path.join(self.root, entry.annotation)) as fh:
-            return AnnotationRecord.from_json(rec_id, fh.read())
+        path = os.path.join(self.root, entry.annotation)
+        # read as bytes, so that text that is not UTF-8 fails in from_json
+        with open(path, "rb") as fh:
+            text = fh.read()
+        try:
+            return AnnotationRecord.from_json(rec_id, text)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def load_audio(self, entry):
         return load_wav(os.path.join(self.root, entry.audio))
@@ -145,12 +160,17 @@ def load_wav(path):
             rate = wav.getframerate()
             n = wav.getnframes()
             payload = wav.readframes(n)
-    except (wave.Error, EOFError) as exc:  # EOFError: header cut short
+    # EOFError: header cut short; RuntimeError: a chunk size that points
+    # past the end of its enclosing chunk
+    except (wave.Error, EOFError, RuntimeError) as exc:
         raise FormatError(f"{path}: not a valid WAV file") from exc
     if len(payload) != 2 * n:
         raise FormatError(f"{path}: truncated WAV payload")
     samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioClip(samples=samples, sample_rate=rate)
+    try:
+        return AudioClip(samples=samples, sample_rate=rate)
+    except InvalidInputError as exc:  # no frames, or a zero sample rate
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_wav(path, clip):

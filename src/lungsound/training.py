@@ -157,9 +157,9 @@ def evaluate_model(model, dataset, indices, task, crop_bins):
 def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
         checkpoint_path=None):
     """Balanced-batch training with periodic validation scoring; keeps the
-    checkpoint of the best validation Score. Without a validation split it
-    keeps the final checkpoint, with best_score None and best_epoch the
-    last epoch."""
+    checkpoint of the best validation Score. When no evaluation ran (no
+    validation split, or fewer epochs than eval_every) it keeps the final
+    checkpoint, with best_score None and best_epoch the last epoch."""
     if not train_idx:
         raise InvalidInputError("empty training split")
     cfg = train_config
@@ -209,10 +209,11 @@ def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
                 evals_since_best += 1
                 if evals_since_best >= cfg.early_stop_evals:
                     break
-    if checkpoint_path and best_epoch < 0:
-        save_checkpoint(checkpoint_path, model, optimizer, cfg.seed, cfg.epochs)
-    if not val_idx:  # nothing to score, so nothing stopped training early
+    if best_epoch < 0:  # no evaluation ran, so nothing stopped training early
         best_score, best_epoch = None, cfg.epochs
+        if checkpoint_path:
+            save_checkpoint(checkpoint_path, model, optimizer, cfg.seed,
+                            cfg.epochs)
     return FitResult(
         history=history,
         best_score=best_score,

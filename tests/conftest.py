@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from lungsound.data import generate_synthetic_dataset
+
+# Every run, local or CI and on every Python version, draws the same
+# examples, and none writes a .hypothesis/ example database.
+settings.register_profile("lungsound", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("lungsound")
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,25 @@ model.dropout = 0.0
 """
 
 
+def _train_only_manifest(path, tmp_path):
+    """A copy of the manifest at `path` with every entry in the training
+    split; returns the copy's path."""
+    manifest = data.DatasetManifest.load(path)
+    train_only = replace(manifest, entries=tuple(
+        replace(e, split="train") for e in manifest.entries))
+    copy = str(tmp_path / "manifest.json")
+    train_only.save(copy)
+    return copy
+
+
+def _out_with_features(workspace, tmp_path):
+    """A new out dir holding a copy of the workspace's feature caches."""
+    out = tmp_path / "out"
+    shutil.copytree(os.path.join(workspace["out"], "features"),
+                    out / "features")
+    return out
+
+
 @pytest.fixture(scope="module")
 def workspace(synth_dataset, tmp_path_factory):
     """One extract/train/evaluate/report pass over the shared corpus."""
@@ -157,25 +176,60 @@ class TestTrainCommand:
         assert lines[0].startswith("epoch,split,loss")
         assert len(lines) == 3  # header + one row per epoch
 
-    def test_without_validation_split_keeps_final_checkpoint(
-            self, workspace, tmp_path, capsys):
-        out = tmp_path / "out"
-        shutil.copytree(os.path.join(workspace["out"], "features"),
-                        out / "features")
-        index_path = out / "features" / "bump_48x48_event" / "index.json"
-        index = json.loads(index_path.read_text())
-        for sample in index["samples"]:
-            sample["split"] = "train"
-        index_path.write_text(json.dumps(index))
+    @staticmethod
+    def train_without_evaluation(workspace, tmp_path, capsys, manifest,
+                                 config, why):
+        out = _out_with_features(workspace, tmp_path)
         ckpt = str(tmp_path / "final.lsck")
-        assert main(["train", "--manifest", workspace["manifest"],
-                     "--config", workspace["config"], "--out", str(out),
-                     "--task", "1-1", "--checkpoint", ckpt]) == 0
-        assert (f"task 1-1: no validation split; kept the final checkpoint "
+        assert main(["train", "--manifest", manifest, "--config", config,
+                     "--out", str(out), "--task", "1-1",
+                     "--checkpoint", ckpt]) == 0
+        assert (f"task 1-1: {why}; kept the final checkpoint "
                 f"(epoch 2) -> {ckpt}") in capsys.readouterr().out
         assert load_checkpoint(ckpt)[3] == 2
         history = (out / "history_task_1-1.csv").read_text()
         assert history.splitlines()[1:] == []
+
+    def test_without_validation_split_keeps_final_checkpoint(
+            self, workspace, tmp_path, capsys):
+        self.train_without_evaluation(
+            workspace, tmp_path, capsys,
+            _train_only_manifest(workspace["manifest"], tmp_path),
+            workspace["config"], "no validation split")
+
+    def test_eval_every_past_last_epoch_keeps_final_checkpoint(
+            self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG + "train.eval_every = 3\n")
+        self.train_without_evaluation(
+            workspace, tmp_path, capsys, workspace["manifest"], str(config),
+            "no evaluation in 2 epochs")
+
+    def test_cached_features_decode_no_audio(self, workspace, tmp_path,
+                                             monkeypatch):
+        out = _out_with_features(workspace, tmp_path)
+
+        def no_decoding(path):
+            raise AssertionError(f"decoded {path}")
+
+        monkeypatch.setattr(data, "load_wav", no_decoding)
+        assert main(["train", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1"]) == 0
+
+    @pytest.mark.parametrize("text", ["{", '{"samples": []}'],
+                             ids=["corrupt", "stale"])
+    def test_feature_index_is_rebuilt_from_the_manifest(self, workspace,
+                                                        tmp_path, text):
+        out = _out_with_features(workspace, tmp_path)
+        index = out / "features" / "bump_48x48_event" / "index.json"
+        index.write_text(text)
+        assert main(["train", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1"]) == 0
+        reference = os.path.join(workspace["out"], "features",
+                                 "bump_48x48_event", "index.json")
+        assert index.read_text() == open(reference).read()
 
 
 class TestEvaluateCommand:
@@ -202,9 +256,7 @@ class TestEvaluateCommand:
 
     def test_one_inference_pass_feeds_report_and_csv(self, workspace,
                                                       tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        shutil.copytree(os.path.join(workspace["out"], "features"),
-                        out / "features")
+        out = _out_with_features(workspace, tmp_path)
         seen = []
         forward = RespiratoryClassifier.forward
 
@@ -242,14 +294,10 @@ class TestEvaluateCommand:
         ).read()
         assert first == reference
 
-    def test_without_validation_split_flags_training_scores(
-            self, workspace, tmp_path, capsys):
-        manifest = data.DatasetManifest.load(workspace["manifest"])
-        train_only = replace(manifest, entries=tuple(
-            replace(e, split="train") for e in manifest.entries))
-        train_only.save(str(tmp_path / "manifest.json"))
-        out = tmp_path / "out"
-        assert main(["evaluate", "--manifest", str(tmp_path / "manifest.json"),
+    @staticmethod
+    def evaluate_train_only(workspace, tmp_path, capsys, out):
+        manifest = _train_only_manifest(workspace["manifest"], tmp_path)
+        assert main(["evaluate", "--manifest", manifest,
                      "--config", workspace["config"], "--out", str(out),
                      "--task", "1-1",
                      "--checkpoint", workspace["checkpoint"]]) == 0
@@ -260,11 +308,23 @@ class TestEvaluateCommand:
         # every sample is scored, not the 14 of the validation split
         with open(out / "reports" / "task_1-1_predictions.csv") as fh:
             assert len(list(csv.DictReader(fh))) == np.sum(
-                rep["confusion_matrix"]) > 14
+                rep["confusion_matrix"]) == 42
+
+    def test_without_validation_split_flags_training_scores(
+            self, workspace, tmp_path, capsys):
+        self.evaluate_train_only(workspace, tmp_path, capsys,
+                                 tmp_path / "out")
         # a run with a validation split carries no such flag
         with open(os.path.join(workspace["out"], "reports",
                                "task_1-1.json")) as fh:
             assert "scored_training_split" not in json.load(fh)["flags"]
+
+    def test_train_only_manifest_rescores_after_split_extract(
+            self, workspace, tmp_path, capsys):
+        """The splits come from the manifest given, not from the index an
+        extract with another manifest left in the same out dir."""
+        out = _out_with_features(workspace, tmp_path)
+        self.evaluate_train_only(workspace, tmp_path, capsys, out)
 
     def test_missing_checkpoint_fails_cleanly(self, workspace, capsys):
         code = main(["evaluate", "--manifest", workspace["manifest"],
@@ -296,22 +356,50 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [b"", b"RIFF"],
-                             ids=["empty", "riff_only"])
-    def test_truncated_wav_fails_cleanly(self, synth_dataset, tmp_path,
-                                         capsys, payload):
+    @staticmethod
+    def one_recording(synth_dataset, tmp_path, wav=lambda b: b,
+                      annotation=lambda t: t):
+        """A one-recording manifest under `tmp_path` whose WAV bytes and
+        annotation text are the corpus's first, passed through `wav` and
+        `annotation`; returns the manifest's path."""
         entry = synth_dataset.entries[0]
-        shutil.copy(os.path.join(synth_dataset.root, entry.annotation),
-                    tmp_path / "a.json")
-        (tmp_path / "a.wav").write_bytes(payload)
+        with open(os.path.join(synth_dataset.root, entry.audio), "rb") as fh:
+            (tmp_path / "a.wav").write_bytes(wav(fh.read()))
+        with open(os.path.join(synth_dataset.root, entry.annotation)) as fh:
+            (tmp_path / "a.json").write_text(annotation(fh.read()))
         manifest = data.DatasetManifest(
             root=str(tmp_path),
             entries=(data.ManifestEntry("a.wav", "a.json", "train"),))
         manifest.save(str(tmp_path / "manifest.json"))
-        code = main(["extract", "--manifest", str(tmp_path / "manifest.json"),
+        return str(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("wav", [
+        lambda b: b"",
+        lambda b: b"RIFF",
+        lambda b: b[:16] + b"\xff" + b[17:],  # fmt chunk size past the end
+    ], ids=["empty", "riff_only", "fmt_size_past_end"])
+    def test_truncated_wav_fails_cleanly(self, synth_dataset, tmp_path,
+                                         capsys, wav):
+        manifest = self.one_recording(synth_dataset, tmp_path, wav=wav)
+        code = main(["extract", "--manifest", manifest,
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "a.wav: not a valid WAV file" in capsys.readouterr().err
+
+    def test_infinite_event_time_fails_cleanly(self, synth_dataset, tmp_path,
+                                               capsys):
+        def infinite_onset(text):
+            ann = json.loads(text)
+            ann["event_annotation"][0]["start_ms"] = "@"
+            return json.dumps(ann).replace('"@"', "1e400")
+
+        manifest = self.one_recording(synth_dataset, tmp_path,
+                                      annotation=infinite_onset)
+        code = main(["extract", "--manifest", manifest,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert (f"error: {tmp_path / 'a.json'}: a: malformed annotation"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("text", [
         "not json",
@@ -324,19 +412,3 @@ class TestErrorHandling:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"error: {path}: malformed manifest" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text", [
-        '{"samples": 5}', "[]", '{"samples": [{"id": "x"}]}', "{",
-    ], ids=["samples_not_a_list", "not_an_object", "sample_without_fields",
-            "not_json"])
-    def test_corrupt_feature_index_fails_cleanly(self, workspace, tmp_path,
-                                                 capsys, text):
-        index = tmp_path / "features" / "bump_48x48_event" / "index.json"
-        index.parent.mkdir(parents=True)
-        index.write_text(text)
-        code = main(["train", "--manifest", workspace["manifest"],
-                     "--config", workspace["config"], "--out", str(tmp_path),
-                     "--task", "1-1"])
-        assert code == 1
-        assert f"error: {index}: corrupt feature index" in (
-            capsys.readouterr().err)

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import wave
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         manifest.save(path)
         assert DatasetManifest.load(path) == manifest
+
+    @pytest.mark.parametrize("split", ["Train", "test", ""])
+    def test_unknown_split_rejected(self, tmp_path, split):
+        manifest = DatasetManifest(
+            root=str(tmp_path),
+            entries=(ManifestEntry("a.wav", "a.json", "train"),
+                     ManifestEntry("b.wav", "b.json", split)),
+        )
+        path = tmp_path / "manifest.json"
+        manifest.save(path)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: entry 1 (b.wav) has split {split!r}")):
+            DatasetManifest.load(path)
 
 
 class TestSynthesis:

@@ -260,21 +260,32 @@ class TestFit:
     def make_dataset(self):
         return toy_dataset(n_classes=3, per_class=4, f=16, t=24)
 
-    def cfgs(self, epochs):
+    def cfgs(self, epochs, eval_every=1):
         train = tr.TrainConfig(
             epochs=epochs, batch_size=3, learning_rate=3e-3, l2_lambda=1e-5,
-            seed=0, eval_every=1, early_stop_evals=50,
+            seed=0, eval_every=eval_every, early_stop_evals=50,
         )
         aug = AugmentConfig(crop_bins=4, mixup=False)
         return train, aug
 
-    def test_zero_epochs_records_nothing(self):
-        model = tiny_model()
-        train, aug = self.cfgs(0)
-        result = tr.fit(model, self.make_dataset(), list(range(9)),
-                        list(range(9, 12)), TASKS["2-1"], train, aug)
+    def fit_without_evaluation(self, tmp_path, epochs, eval_every):
+        """fit with a validation split that is never scored keeps the final
+        checkpoint and reports no best Score."""
+        train, aug = self.cfgs(epochs, eval_every)
+        path = tmp_path / "final.lsck"
+        result = tr.fit(tiny_model(), self.make_dataset(), list(range(9)),
+                        list(range(9, 12)), TASKS["2-1"], train, aug,
+                        checkpoint_path=path)
         assert result.history == []
-        assert result.best_epoch == -1
+        assert result.best_score is None
+        assert result.best_epoch == epochs
+        assert tr.load_checkpoint(path)[3] == epochs
+
+    def test_zero_epochs_records_nothing(self, tmp_path):
+        self.fit_without_evaluation(tmp_path, epochs=0, eval_every=1)
+
+    def test_eval_every_past_last_epoch_records_nothing(self, tmp_path):
+        self.fit_without_evaluation(tmp_path, epochs=2, eval_every=3)
 
     def test_without_validation_split_keeps_final_checkpoint(self, tmp_path):
         train, aug = self.cfgs(2)

@@ -85,10 +85,13 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
             if node._backprop is None:
                 continue
-            for parent, pg in zip(node._parents, node._backprop(g)):
-                if pg is None:
-                    continue
-                key = id(parent)
+            # only parents that need a gradient get one: a constant's (such
+            # as dropout's mask) is never popped, so it dies here instead of
+            # waiting in `grads` until backward ends
+            passed = [(id(p), pg)
+                      for p, pg in zip(node._parents, node._backprop(g))
+                      if pg is not None and p.requires_grad]
+            for key, pg in passed:
                 grads[key] = pg if key not in grads else grads[key] + pg
             node._parents, node._backprop = (), _unwound
 

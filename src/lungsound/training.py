@@ -8,9 +8,11 @@ parameters).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .evaluation import evaluate_predictions
 from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 PRED_FLOOR = 1e-8
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -249,65 +251,65 @@ def write_history_csv(path, history):
 # -- checkpoint container ---------------------------------------------------------
 
 
-def save_checkpoint(path, model, optimizer=None, seed=0, epoch=0):
-    """Binary container: magic, version, JSON index, float32 LE payloads."""
+def save_checkpoint(path, model, optimizer, seed=0, epoch=0):
+    """Binary container: magic, version, a JSON header, then in model order
+    float32 parameters, float64 buffers and each parameter's float32 Adam
+    moments m and v, little-endian, as the header's index lays them out."""
     params = model.parameters()
     buffers = dict(model.named_buffers())
-    arrays = []
-    index = {"params": [], "buffers": [], "opt_moments": []}
-    for name, p in params.items():
-        index["params"].append({"name": name, "shape": list(p.shape)})
-        arrays.append(p.data.astype("<f4"))
-    for name, b in buffers.items():
-        index["buffers"].append({"name": name, "shape": list(b.shape)})
-        arrays.append(b.astype("<f8"))
-    opt_state = {"step": 0}
-    if optimizer is not None:
-        opt_state["step"] = optimizer.step_count
-        for name in params:
-            index["opt_moments"].append({"name": name,
-                                         "shape": list(params[name].shape)})
-            arrays.append(optimizer.m[name].astype("<f4"))
-            arrays.append(optimizer.v[name].astype("<f4"))
-    header = {
-        "config": model.config.to_dict(),
-        "index": index,
-        "optimizer": opt_state,
-        "seed": int(seed),
-        "epoch": int(epoch),
-    }
+    arrays = ([p.data.astype("<f4") for p in params.values()]
+              + [b.astype("<f8") for b in buffers.values()]
+              + [moments[name].astype("<f4") for name in params
+                 for moments in (optimizer.m, optimizer.v)])
+    index = {kind: [{"name": name, "shape": list(a.shape)}
+                    for name, a in named.items()]
+             for kind, named in (("params", params), ("buffers", buffers))}
+    header = {"config": model.config.to_dict(), "index": index,
+              "optimizer": {"step": optimizer.step_count,
+                            "lr": float(optimizer.lr)},
+              "seed": int(seed), "epoch": int(epoch)}
     blob = json.dumps(header, sort_keys=True).encode()
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for a in arrays:
-            fh.write(a.tobytes())
+        fh.writelines([CHECKPOINT_MAGIC, struct.pack(
+            "<II", CHECKPOINT_VERSION, len(blob)), blob, *arrays])
     os.replace(tmp, path)
 
 
 def _read_header(path, text):
-    """(config, index, optimizer step, seed, epoch) from a checkpoint's JSON
-    header, each checked for the type `save_checkpoint` writes."""
+    """(config, index, optimizer step, lr, seed, epoch) from a checkpoint's
+    JSON header, each checked for the type `save_checkpoint` writes and, like
+    every index dim, for a finite value that is not negative."""
     try:
         header = json.loads(text)
         index = {
             kind: [(typed_like(e["name"], ""), typed_like(e["shape"], ()))
                    for e in header["index"][kind]]
-            for kind in ("params", "buffers", "opt_moments")
+            for kind in ("params", "buffers")
         }
-        return (ModelConfig.from_dict(header["config"]), index,
-                typed_like(header["optimizer"]["step"], 0),
-                typed_like(header["seed"], 0), typed_like(header["epoch"], 0))
+        opt = header["optimizer"]
+        numbers = {"optimizer step": typed_like(opt["step"], 0),
+                   "optimizer lr": typed_like(opt["lr"], 0.0),
+                   "seed": typed_like(header["seed"], 0),
+                   "epoch": typed_like(header["epoch"], 0)}
+        config = ModelConfig.from_dict(header["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
+    dims = [(f"index dim of {name!r}", d)
+            for entries in index.values() for name, shape in entries
+            for d in shape]
+    for field, value in [*numbers.items(), *dims]:
+        if not 0 <= value < math.inf:
+            raise FormatError(f"{path}: checkpoint {field} is {value!r}, "
+                              "not a finite number >= 0")
+    return (config, index, *numbers.values())
 
 
 def load_checkpoint(path):
     """Returns (model, optimizer, seed, epoch) with parameters, buffers and
-    Adam moments restored. The index must list every parameter and buffer
-    once, and the Adam moments of every parameter once or of none."""
+    Adam's step, lr and moments restored. The file's length must be the one
+    its index implies, which is checked before the model is built; the index
+    must list the model's own parameters and buffers in model order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -315,44 +317,39 @@ def load_checkpoint(path):
     version, header_len = struct.unpack("<II", blob[4:12])
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    config, index, step, seed, epoch = _read_header(
+    config, index, step, lr, seed, epoch = _read_header(
         path, blob[12 : 12 + header_len])
+    offset = 12 + header_len
+    # bytes per element: a parameter's f4 value, m and v; a buffer's f8 value
+    expected = offset + sum(width * math.prod(shape)
+                            for kind, width in (("params", 12), ("buffers", 8))
+                            for _, shape in index[kind])
+    if len(blob) != expected:
+        raise FormatError(f"{path}: checkpoint is {len(blob)} bytes; its "
+                          f"index implies {expected}")
     model = RespiratoryClassifier(config, seed=seed)
     params = model.parameters()
     buffers = dict(model.named_buffers())
-    for kind, known in (("params", params), ("buffers", buffers),
-                        ("opt_moments", params if index["opt_moments"] else {})):
-        names = [name for name, _ in index[kind]]
-        for name in known:
-            if names.count(name) != 1:
-                raise FormatError(f"{path}: {kind} index lists {name!r} "
-                                  f"{names.count(name)} times, not once")
-    offset = 12 + header_len
+    for kind, named in (("params", params), ("buffers", buffers)):
+        own = [(name, a.shape) for name, a in named.items()]
+        for i, (saved, built) in enumerate(zip_longest(index[kind], own)):
+            if saved != built:
+                raise FormatError(f"{path}: {kind} index entry {i} is "
+                                  f"{saved}; the model's is {built}")
 
-    def take(name, shape, known, kind, dtype):
+    def take(shape, dtype):
         nonlocal offset
-        if name not in known:
-            raise FormatError(f"{path}: unknown {kind} {name!r}")
-        if tuple(known[name].shape) != shape:
-            raise FormatError(f"{path}: shape mismatch for {name!r}")
-        n = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        if offset + n > len(blob):
-            raise FormatError(f"{path}: truncated checkpoint payload")
-        out = np.frombuffer(blob[offset : offset + n], dtype=dtype).reshape(shape)
-        offset += n
-        return out
+        out = np.frombuffer(blob, dtype, math.prod(shape), offset)
+        offset += out.nbytes
+        return out.reshape(shape)
 
-    for name, shape in index["params"]:
-        data = take(name, shape, params, "parameter", "<f4")
-        params[name].data = data.astype(params[name].data.dtype)
-    for name, shape in index["buffers"]:
-        buffers[name][...] = take(name, shape, buffers, "buffer", "<f8")
-    optimizer = Adam(params)
+    for p in params.values():
+        p.data = take(p.shape, "<f4").astype(p.data.dtype)
+    for b in buffers.values():
+        b[...] = take(b.shape, "<f8")
+    optimizer = Adam(params, lr=lr)
     optimizer.step_count = step
-    for name, shape in index["opt_moments"]:
+    for name, p in params.items():
         for moments in (optimizer.m, optimizer.v):
-            moments[name] = take(name, shape, params, "parameter",
-                                 "<f4").astype(np.float32)
-    if offset != len(blob):
-        raise FormatError(f"{path}: trailing bytes in checkpoint")
+            moments[name] = take(p.shape, "<f4").astype(p.data.dtype)
     return model, optimizer, seed, epoch

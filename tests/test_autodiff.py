@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -721,6 +723,28 @@ class TestBackward:
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(InvalidInputError):
             (x * x).backward()
+
+    def test_constant_parent_gradient_is_freed_before_the_next_node(self):
+        # x -> h = 2x -> y = h * mask (a constant, as dropout's) -> sum
+        x = Tensor(np.ones(4), requires_grad=True)
+        h = x * 2.0
+        y = ad.mul(h, Tensor(np.array([0.0, 2.0, 2.0, 0.0])))
+        refs, alive = [], []
+        mul_backprop, scale_backprop = y._backprop, h._backprop
+
+        def spy_mul(g):
+            grads = mul_backprop(g)
+            refs.append(weakref.ref(grads[1]))
+            return grads
+
+        def spy_scale(g):
+            alive.append(refs[0]() is not None)
+            return scale_backprop(g)
+
+        y._backprop, h._backprop = spy_mul, spy_scale
+        ad.tsum(y).backward()
+        assert alive == [False]
+        assert np.array_equal(x.grad, [0.0, 4.0, 4.0, 0.0])
 
 
 class TestDtypeFollowsOperand:

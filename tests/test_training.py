@@ -357,13 +357,13 @@ class TestCheckpoint:
         assert set(params) == set(params2)
         for name in params:
             assert np.array_equal(params[name].data, params2[name].data), name
-            assert np.array_equal(opt.m[name].astype(np.float32),
-                                  opt2.m[name])
+            assert np.array_equal(opt.m[name], opt2.m[name])
+            assert np.array_equal(opt.v[name], opt2.v[name])
         for (na, ba), (nb, bb) in zip(model.named_buffers(),
                                       loaded.named_buffers()):
             assert na == nb
             assert np.array_equal(ba, bb)
-        assert opt2.step_count == opt.step_count
+        assert (opt2.step_count, opt2.lr) == (opt.step_count, opt.lr)
 
     def test_resumed_training_continues_identically(self, tmp_path):
         rng_batch = np.random.default_rng(0)
@@ -380,12 +380,13 @@ class TestCheckpoint:
                      for _ in range(3)]
 
         resumed, opt2, _, _ = tr.load_checkpoint(path)
-        opt2.lr = 1e-3
         resumed._dropout_rng = np.random.default_rng(9)
-        resumed.dtype = np.float32
         resumed_trace = [tr.train_step(resumed, batch, np.eye(3), opt2, 0.0)
                          for _ in range(3)]
-        assert np.allclose(reference, resumed_trace, rtol=1e-5)
+        assert resumed_trace == reference
+        params = model.parameters()
+        for name, p in resumed.parameters().items():
+            assert np.array_equal(p.data, params[name].data), name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lsck"
@@ -393,22 +394,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             tr.load_checkpoint(path)
 
-    def test_truncated_payload_rejected(self, tmp_path):
+    @staticmethod
+    def rejected_unbuilt(path, resize, monkeypatch):
+        """Saves a checkpoint, passes its bytes through `resize`, and checks
+        that loading them fails on the length before any model is built."""
         model = tiny_model()
-        path = tmp_path / "model.lsck"
-        tr.save_checkpoint(path, model)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 16])
-        with pytest.raises(FormatError):
+        tr.save_checkpoint(path, model, tr.Adam(model.parameters()))
+        path.write_bytes(resize(path.read_bytes()))
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("model built before the length check")
+
+        monkeypatch.setattr(tr, "RespiratoryClassifier", unbuilt)
+        with pytest.raises(FormatError, match="index implies"):
             tr.load_checkpoint(path)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        model = tiny_model()
-        path = tmp_path / "model.lsck"
-        tr.save_checkpoint(path, model)
-        path.write_bytes(path.read_bytes() + b"\x00\x00")
-        with pytest.raises(FormatError):
-            tr.load_checkpoint(path)
+    def test_truncated_payload_rejected(self, tmp_path, monkeypatch):
+        self.rejected_unbuilt(tmp_path / "model.lsck",
+                              lambda blob: blob[: len(blob) - 16], monkeypatch)
+
+    def test_trailing_bytes_rejected(self, tmp_path, monkeypatch):
+        self.rejected_unbuilt(tmp_path / "model.lsck",
+                              lambda blob: blob + b"\x00\x00", monkeypatch)
 
     @staticmethod
     def edited_checkpoint(path, edit, version=tr.CHECKPOINT_VERSION):
@@ -433,21 +440,29 @@ class TestCheckpoint:
         blob = path.read_bytes()
         n = struct.unpack("<I", blob[8:12])[0]
         header = json.loads(blob[12 : 12 + n])
-        offset, chunks = 12 + n, {}
-        # bytes per element: f4 params, f8 buffers, f4 m plus f4 v moments
-        for k, width in (("params", 4), ("buffers", 8), ("opt_moments", 8)):
-            chunks[k] = []
+        offset, sections = 12 + n, []
+        # bytes per element: f4 params, f8 buffers, then f4 m plus f4 v
+        # moments for each parameter
+        for k, width in (("params", 4), ("buffers", 8), ("params", 8)):
+            sections.append([])
             for entry in header["index"][k]:
                 size = width * int(np.prod(entry["shape"]))
-                chunks[k].append((entry, blob[offset : offset + size]))
+                sections[-1].append(blob[offset : offset + size])
                 offset += size
+        values, buffers, moments = sections
+        chunks = {"params": list(zip(header["index"]["params"],
+                                     zip(values, moments))),
+                  "buffers": list(zip(header["index"]["buffers"],
+                                      zip(buffers)))}
         chunks[kind] = edit(chunks[kind])
-        for k, pairs in chunks.items():
-            header["index"][k] = [entry for entry, _ in pairs]
+        header["index"] = {k: [entry for entry, _ in pairs]
+                           for k, pairs in chunks.items()}
         text = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(
-            blob[:8] + struct.pack("<I", len(text)) + text
-            + b"".join(b for pairs in chunks.values() for _, b in pairs))
+        # in file order: parameter values, buffers, parameter moments
+        payload = [b[0] for _, b in chunks["params"] + chunks["buffers"]]
+        payload += [b[1] for _, b in chunks["params"]]
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                         + b"".join(payload))
         return model
 
     def test_rewritten_header_still_loads(self, tmp_path):
@@ -455,36 +470,48 @@ class TestCheckpoint:
         model = self.edited_checkpoint(path, lambda header: None)
         assert tr.load_checkpoint(path)[0].config == model.config
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_unsupported_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.lsck"
         self.edited_checkpoint(path, lambda header: None, version=version)
         with pytest.raises(FormatError, match="unsupported checkpoint version"):
             tr.load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda h: h.pop("epoch"),
-        lambda h: h["optimizer"].pop("step"),
-        lambda h: h["index"]["params"][0].pop("shape"),
-        lambda h: h["config"].pop("fc_hidden"),
-        lambda h: h["config"].update(inct_kernels=[[5, 7], [7, 9]]),
-        lambda h: h["config"].update(n_classes="3"),
-        lambda h: h["config"].update(input_dims=12),
-        lambda h: h["config"].update(inc_res_channels=[3.0, 4.0]),
-        lambda h: h.update(seed="0"),
-        lambda h: h.update(config=[]),
-        lambda h: h["index"]["buffers"][0].update(shape="4"),
-        lambda h: h["index"]["opt_moments"][0].update(name=7),
-        lambda h: h["index"]["opt_moments"][0].update(name="bogus"),
-        lambda h: h["index"]["opt_moments"][0].update(shape=[1, 1]),
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.pop("epoch"), "corrupt"),
+        (lambda h: h["optimizer"].pop("step"), "corrupt"),
+        (lambda h: h["index"]["params"][0].pop("shape"), "corrupt"),
+        (lambda h: h["config"].pop("fc_hidden"), "corrupt"),
+        (lambda h: h["config"].update(inct_kernels=[[5, 7], [7, 9]]),
+         "corrupt"),
+        (lambda h: h["config"].update(n_classes="3"), "corrupt"),
+        (lambda h: h["config"].update(input_dims=12), "corrupt"),
+        (lambda h: h["config"].update(inc_res_channels=[3.0, 4.0]),
+         "corrupt"),
+        (lambda h: h.update(seed="0"), "corrupt"),
+        (lambda h: h.update(config=[]), "corrupt"),
+        (lambda h: h["index"]["buffers"][0].update(shape="4"), "corrupt"),
+        (lambda h: h["index"]["params"][0].update(name=7), "corrupt"),
+        (lambda h: h["optimizer"].pop("lr"), "corrupt"),
+        (lambda h: h["optimizer"].update(lr="0.001"), "corrupt"),
+        (lambda h: h["optimizer"].update(step=-2), "optimizer step"),
+        (lambda h: h["optimizer"].update(lr=-1e-4), "optimizer lr"),
+        (lambda h: h["optimizer"].update(lr=float("nan")), "optimizer lr"),
+        (lambda h: h["optimizer"].update(lr=float("inf")), "optimizer lr"),
+        (lambda h: h["index"]["params"][0].update(shape=[-2, 1, 3, 3]),
+         "index dim"),
+        (lambda h: h.update(seed=-1), "seed"),
+        (lambda h: h.update(epoch=-1), "epoch"),
     ], ids=["no-epoch", "no-step", "no-shape", "config-missing",
             "config-unknown", "config-str", "config-int-for-tuple",
             "config-floats-for-ints", "seed-str", "config-list",
-            "shape-str", "name-int", "moment-unknown", "moment-shape"])
-    def test_malformed_header_is_a_format_error(self, tmp_path, edit):
+            "shape-str", "name-int", "no-lr", "lr-str", "step-negative",
+            "lr-negative", "lr-nan", "lr-inf", "dim-negative",
+            "seed-negative", "epoch-negative"])
+    def test_malformed_header_is_a_format_error(self, tmp_path, edit, named):
         path = tmp_path / "model.lsck"
         self.edited_checkpoint(path, edit)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=named):
             tr.load_checkpoint(path)
 
     @pytest.mark.parametrize("kind, edit, named", [
@@ -494,25 +521,18 @@ class TestCheckpoint:
         ("params", lambda es: es + es[:1], "doub_inc.inc_a.branches.0.weight"),
         ("buffers", lambda es: es[1:], "doub_inc.bn_a.running_mean"),
         ("buffers", lambda es: es + es[:1], "doub_inc.bn_a.running_mean"),
-        ("opt_moments", lambda es: es[:-1], "head.fc2.bias"),
-        ("opt_moments", lambda es: es + es[:1],
+        ("params", lambda es: es[1::-1] + es[2:],
          "doub_inc.inc_a.branches.0.weight"),
+        ("params", lambda es: [({**es[0][0], "name": "bogus"}, es[0][1])]
+         + es[1:], "bogus"),
     ], ids=["param-missing", "param-twice", "buffer-missing", "buffer-twice",
-            "moment-missing", "moment-twice"])
+            "param-order", "param-unknown"])
     def test_incomplete_index_is_a_format_error(self, tmp_path, kind, edit,
                                                 named):
         path = tmp_path / "model.lsck"
         self.edited_index(path, kind, edit)
         with pytest.raises(FormatError, match=named):
             tr.load_checkpoint(path)
-
-    def test_index_without_moments_loads(self, tmp_path):
-        path = tmp_path / "model.lsck"
-        model = self.edited_index(path, "opt_moments", lambda es: [])
-        loaded, opt, _, _ = tr.load_checkpoint(path)
-        for name, p in model.parameters().items():
-            assert np.array_equal(loaded.parameters()[name].data, p.data)
-            assert not np.any(opt.m[name])
 
 
 class TestTrainConfig:

@@ -1,7 +1,10 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor records the operation that produced it and its parents; calling
-``backward()`` on a scalar walks the tape in reverse topological order,
+A Tensor that needs a gradient owns a grad handle: its parents' handles
+and the closure that maps its gradient to theirs. A handle holds no array,
+and a closure keeps only the arrays its backward reads, so an activation
+lives only while user code or a closure refers to it. Calling
+``backward()`` on a scalar walks the handles in reverse topological order,
 accumulates gradients into every ``requires_grad`` leaf and frees the tape
 behind it, so a graph is differentiated once. Constants take the dtype of
 the Tensor they meet. Only the primitives needed by the network are
@@ -11,6 +14,8 @@ normalizations, dropout and attention.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -37,18 +42,45 @@ class no_grad:
         return False
 
 
+class _Handle:
+    """The graph side of a Tensor that needs a gradient: its parents'
+    handles (None for a parent that needs none), the closure that maps the
+    Tensor's gradient to theirs (None for a leaf), and for a leaf a weak
+    reference to the Tensor that accumulates it."""
+
+    __slots__ = ("parents", "backprop", "leaf")
+
+    def __init__(self, parents, backprop, leaf=None):
+        self.parents = parents
+        self.backprop = backprop
+        self.leaf = leaf
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop", "_done")
+    __slots__ = ("data", "grad", "_handle", "_done", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
-        self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backprop = None
+        self._handle = (_Handle((), None, weakref.ref(self)) if requires_grad
+                        else None)
         self._done = False
 
     # -- graph plumbing ----------------------------------------------------
+
+    @property
+    def requires_grad(self):
+        return self._handle is not None
+
+    @property
+    def _backprop(self):
+        """This node's backward closure, None for a leaf or a constant.
+        Assigning one replaces the closure that `backward` calls."""
+        return None if self._handle is None else self._handle.backprop
+
+    @_backprop.setter
+    def _backprop(self, backprop):
+        self._handle.backprop = backprop
 
     @property
     def shape(self):
@@ -71,29 +103,31 @@ class Tensor:
         if self._done:
             raise UsageError("backward() already ran on this graph")
         self._done = True
+        if self._handle is None:
+            return
 
-        # root popped first; a node leaves the list and drops its parents and
-        # closure (the arrays it saved) once it has passed its gradients on
-        order = _toposort(self)
-        grads = {id(self): np.ones_like(self.data)}
+        # root popped first; a handle leaves the list and drops its parents
+        # and closure (the arrays it saved) once it has passed its gradients on
+        order = _toposort(self._handle)
+        grads = {id(self._handle): np.ones_like(self.data)}
         while order:
             node = order.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and node._backprop is None:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backprop is None:
+            if node.backprop is None:
+                leaf = node.leaf()
+                if leaf is not None:
+                    leaf.grad = g if leaf.grad is None else leaf.grad + g
                 continue
-            # only parents that need a gradient get one: a constant's (such
-            # as dropout's mask) is never popped, so it dies here instead of
-            # waiting in `grads` until backward ends
+            # only parents that need a gradient get one: a gradient computed
+            # for a constant dies here instead of waiting in `grads`
             passed = [(id(p), pg)
-                      for p, pg in zip(node._parents, node._backprop(g))
-                      if pg is not None and p.requires_grad]
+                      for p, pg in zip(node.parents, node.backprop(g))
+                      if pg is not None and p is not None]
             for key, pg in passed:
                 grads[key] = pg if key not in grads else grads[key] + pg
-            node._parents, node._backprop = (), _unwound
+            node.parents, node.backprop = (), _unwound
 
     # -- operator sugar ----------------------------------------------------
 
@@ -148,11 +182,15 @@ def _wrap(x, like):
 
 
 def _node(data, parents, backprop):
+    """A Tensor of `data`; while recording, if any parent needs a gradient,
+    with a handle that links the parents' handles and `backprop`, which
+    maps its gradient to one per parent (None for a parent that needs
+    none). `backprop` must capture arrays and shapes, never a Tensor."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backprop = backprop
+    if _grad_enabled:
+        handles = tuple(p._handle for p in parents)
+        if any(h is not None for h in handles):
+            out._handle = _Handle(handles, backprop)
     return out
 
 
@@ -161,7 +199,8 @@ def _unwound(g):
 
 
 def _toposort(root):
-    """The nodes that lead to `root`, each after all of its parents."""
+    """The handles that lead to the handle `root`, each after all of its
+    parents."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -172,8 +211,8 @@ def _toposort(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad:
+        for p in node.parents:
+            if p is not None:
                 stack.append((p, False))
     return order
 
@@ -192,15 +231,24 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
+    a_shape, b_shape = a.shape, b.shape
+
     def backprop(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _node(a.data + b.data, (a, b), backprop)
 
 
 def mul(a, b):
+    """a·b. The backward keeps an operand's array only if the other operand
+    needs a gradient, and gives None for an operand that needs none."""
+    a_shape, b_shape = a.shape, b.shape
+    a_saved = a.data if b.requires_grad else None
+    b_saved = b.data if a.requires_grad else None
+
     def backprop(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (None if b_saved is None else _unbroadcast(g * b_saved, a_shape),
+                None if a_saved is None else _unbroadcast(g * a_saved, b_shape))
 
     return _node(a.data * b.data, (a, b), backprop)
 
@@ -210,16 +258,23 @@ def mul_scalar(a, s):
 
 
 def div(a, b):
+    """a / b, with `mul`'s rule for what the backward keeps."""
+    a_shape, b_shape, bd = a.shape, b.shape, b.data
+    a_needs = a.requires_grad
+    a_saved = a.data if b.requires_grad else None
+
     def backprop(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / bd, a_shape) if a_needs else None
+        gb = (None if a_saved is None
+              else _unbroadcast(-g * a_saved / (bd * bd), b_shape))
         return ga, gb
 
-    return _node(a.data / b.data, (a, b), backprop)
+    return _node(a.data / bd, (a, b), backprop)
 
 
 def power(a, p):
-    return _node(a.data**p, (a,), lambda g: (g * p * a.data ** (p - 1),))
+    a_data = a.data
+    return _node(a_data**p, (a,), lambda g: (g * p * a_data ** (p - 1),))
 
 
 def exp(a):
@@ -228,7 +283,8 @@ def exp(a):
 
 
 def log(a):
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    a_data = a.data
+    return _node(np.log(a_data), (a,), lambda g: (g / a_data,))
 
 
 def relu(a):
@@ -249,7 +305,8 @@ def clip_min(a, floor):
 
 
 def reshape(a, shape):
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    a_shape = a.shape
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def transpose(a, axes):
@@ -273,11 +330,13 @@ def concat(tensors, axis=-1):
 
 
 def tsum(a, axis=None, keepdims=False):
+    a_shape = a.shape
+
     def backprop(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a_shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        return (np.broadcast_to(gg, a_shape).copy(),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backprop)
 
@@ -310,10 +369,17 @@ def matmul(a, b):
             f"matmul inner dims disagree: {a.shape} @ {b.shape}"
         )
 
+    # `mul`'s rule for what the backward keeps
+    a_shape, b_shape = a.shape, b.shape
+    a_saved = a.data if b.requires_grad else None
+    b_saved = b.data if a.requires_grad else None
+
     def backprop(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = (None if b_saved is None else _unbroadcast(
+            np.matmul(g, np.swapaxes(b_saved, -1, -2)), a_shape))
+        gb = (None if a_saved is None else _unbroadcast(
+            np.matmul(np.swapaxes(a_saved, -1, -2), g), b_shape))
+        return ga, gb
 
     return _node(np.matmul(a.data, b.data), (a, b), backprop)
 
@@ -449,7 +515,8 @@ def conv2d_sum(x, weights, biases, padding="same"):
     pads = ((0, 0), (0, 0), (top, ho - h + bottom), (left, wo - wd + right))
     k = c * len(taps)
 
-    xd = x.data
+    xd, x_needs = x.data, x.requires_grad
+    w_shapes, n_biases = [w.shape for w in weights], len(biases)
     merged = np.zeros((o, c, len(taps)), dtype=weights[0].data.dtype)
     for w, slot in zip(weights, slots):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
@@ -463,7 +530,7 @@ def conv2d_sum(x, weights, biases, padding="same"):
         out += sum(b.data for b in biases).reshape(o, 1, 1)
 
     def backprop(g):
-        if x.requires_grad:
+        if x_needs:
             # the flushed g, padded so that every tap's shift of the input
             # rows and columns stays inside it
             gp = np.zeros((n, o, bottom + h + top, right + wd + left),
@@ -471,7 +538,7 @@ def conv2d_sum(x, weights, biases, padding="same"):
             _flush_subnormal(g, out=gp[:, :, bottom : bottom + ho,
                                        right : right + wo])
             w_r = merged.transpose(1, 0, 2).reshape(c, -1)
-            gx = np.empty(x.shape, dtype=g.dtype)
+            gx = np.empty(xd.shape, dtype=g.dtype)
             gw = np.zeros((o * len(taps), c), dtype=g.dtype)
             flipped = [(-dy, -dx) for dy, dx in taps]
             for (i0, i1, r0, r1), gc in _band_columns(gp, flipped, bottom,
@@ -490,9 +557,10 @@ def conv2d_sum(x, weights, biases, padding="same"):
                 gband = gf[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1)
                 gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
             gw = gw.reshape(o, c, len(taps))
-        gws = [gw[:, :, slot].reshape(w.shape) for w, slot in zip(weights, slots)]
+        gws = [gw[:, :, slot].reshape(shape)
+               for shape, slot in zip(w_shapes, slots)]
         gb = g.reshape(n, o, -1).sum(axis=(0, 2))
-        gbs = [gb.copy() for _ in biases]
+        gbs = [gb.copy() for _ in range(n_biases)]
         return (gx, *gws, *gbs)
 
     return _node(out, (x, *weights, *biases), backprop)
@@ -506,7 +574,8 @@ def pool2d(x, mode):
     mean does, and divides by 4; max passes the gradient to the first
     maximum in row-major order, as argmax does.
     """
-    n, c, h, wd = x.shape
+    shape = x.shape
+    n, c, h, wd = shape
     if h < 2 or wd < 2:
         raise InvalidConfigError(f"2x2 pool window exceeds input {(h, wd)}")
     ho, wo = h // 2, wd // 2
@@ -560,7 +629,7 @@ def pool2d(x, mode):
     # + 0.0 turns a -0.0 into the 0.0 that such a sum gives. The shares come
     # one at a time, and none is held once assigned, so one is live at once
     def backprop(g):
-        gx = np.empty(x.shape, dtype=g.dtype)
+        gx = np.empty(shape, dtype=g.dtype)
         corner_shares = shares(g)
         for rows, columns in corners:
             gx[:, :, rows, columns] = next(corner_shares)
@@ -619,17 +688,35 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
 
     `running_mean`/`running_var` are plain arrays mutated in place during
     training (biased batch variance, convention new = (1-m)·old + m·batch).
-    Training mode is one node.
+    Each mode is one node. Eval mode computes (x − μ)·inv·γ + β from the
+    running statistics in one buffer, in that order; its backward rebuilds
+    (x − μ)·inv from x for γ's gradient.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise InvalidInputError("batch_norm affine parameters must have length C")
     shape = (1, c, 1, 1)
+    scale = gamma.data.reshape(shape)
     if not training:
         # the float64 running stats take x's dtype where they meet it
-        mu = running_mean.reshape(shape)
-        inv = 1.0 / np.sqrt(running_var.reshape(shape) + NORM_EPS)
-        return (x - mu) * inv * gamma.reshape(shape) + beta.reshape(shape)
+        xd = x.data
+        mu = np.asarray(running_mean.reshape(shape), dtype=xd.dtype)
+        inv = np.asarray(1.0 / np.sqrt(running_var.reshape(shape) + NORM_EPS),
+                         dtype=xd.dtype)
+        out = np.subtract(xd, mu)
+        out *= inv
+        out *= scale
+        out += beta.data.reshape(shape)
+
+        def backprop(g):
+            xhat = np.subtract(xd, mu)
+            xhat *= inv
+            dx = g * scale
+            dx *= inv
+            return (dx, _unbroadcast(g * xhat, shape).reshape(c),
+                    _unbroadcast(g, shape).reshape(c))
+
+        return _node(out, (x, gamma, beta), backprop)
 
     axes = (0, 2, 3)
     xhat, inv, mu, var = _standardize(x.data, axes)
@@ -637,7 +724,6 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
     running_mean += momentum * mu.reshape(c)
     running_var *= 1.0 - momentum
     running_var += momentum * var.reshape(c)
-    scale = gamma.data.reshape(shape)
 
     def backprop(g):
         dx, sgx, sg = _standardize_grad(g, xhat, inv, axes, scale)

@@ -254,7 +254,12 @@ def write_history_csv(path, history):
 def save_checkpoint(path, model, optimizer, seed=0, epoch=0):
     """Binary container: magic, version, a JSON header, then in model order
     float32 parameters, float64 buffers and each parameter's float32 Adam
-    moments m and v, little-endian, as the header's index lays them out."""
+    moments m and v, little-endian, as the header's index lays them out.
+    The format records no dtype, so only a float32 model is saved."""
+    dtype = np.dtype(model.dtype)
+    if dtype != np.float32:
+        raise InvalidInputError(
+            f"a checkpoint holds a float32 model, not a {dtype.name} one")
     params = model.parameters()
     buffers = dict(model.named_buffers())
     arrays = ([p.data.astype("<f4") for p in params.values()]

@@ -192,6 +192,16 @@ def batch_norm_composite(x, gamma, beta, running_mean, running_var,
     return xhat * gamma.reshape(shape) + beta.reshape(shape)
 
 
+def batch_norm_eval_composite(x, gamma, beta, running_mean, running_var,
+                              eps=1e-5):
+    """Eval-mode batch norm composed of taped primitives; the float64
+    running statistics take x's dtype where they meet it."""
+    shape = (1, x.shape[1], 1, 1)
+    mu = running_mean.reshape(shape)
+    inv = 1.0 / np.sqrt(running_var.reshape(shape) + eps)
+    return (x - mu) * inv * gamma.reshape(shape) + beta.reshape(shape)
+
+
 def residual_norm_composite(x, lam):
     """lam·x plus `instance_norm_freq(x)`, composed of taped primitives."""
     return x * lam + ad.instance_norm_freq(x)

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,9 @@ from lungsound import autodiff as ad
 from lungsound.autodiff import Tensor
 from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
-from oracles import (batch_norm_composite, conv2d_im2col, conv2d_loop,
-                     conv2d_loop_grads, grad_check, pool2d_windows,
-                     residual_norm_composite)
+from oracles import (batch_norm_composite, batch_norm_eval_composite,
+                     conv2d_im2col, conv2d_loop, conv2d_loop_grads,
+                     grad_check, pool2d_windows, residual_norm_composite)
 
 
 class TestConv2d:
@@ -469,8 +467,26 @@ class TestBatchNorm:
 
 
 class TestFusedNorms:
-    """Single-node training batch norm and residual norm against the
+    """Single-node batch norm, in both modes, and residual norm against the
     composites they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_batch_norm_matches_composite_bitwise(self, dtype):
+        rng = np.random.default_rng(24)
+        x = (rng.standard_normal((3, 4, 5, 6)) * 3 + 1).astype(dtype)
+        gamma, beta = (rng.standard_normal(4).astype(dtype) for _ in "gb")
+        stats = [rng.standard_normal(4), rng.random(4) + 0.5]
+        coef = rng.standard_normal(x.shape).astype(dtype)
+        results = []
+        for norm in (ad.batch_norm, batch_norm_eval_composite):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            kwargs = {"training": False} if norm is ad.batch_norm else {}
+            out = norm(*leaves, *stats, **kwargs)
+            ad.tsum(out * coef).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_norm_forward_and_running_stats_bitwise(self, dtype):
@@ -724,27 +740,19 @@ class TestBackward:
         with pytest.raises(InvalidInputError):
             (x * x).backward()
 
-    def test_constant_parent_gradient_is_freed_before_the_next_node(self):
-        # x -> h = 2x -> y = h * mask (a constant, as dropout's) -> sum
-        x = Tensor(np.ones(4), requires_grad=True)
+    @pytest.mark.parametrize("op", [ad.mul, ad.div, ad.matmul])
+    def test_constant_operand_gets_no_gradient(self, op):
+        # x -> h = 2x -> y = op(h, c) for a constant c, as dropout's mask:
+        # the backward gives c no gradient and keeps none of h's array
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
         h = x * 2.0
-        y = ad.mul(h, Tensor(np.array([0.0, 2.0, 2.0, 0.0])))
-        refs, alive = [], []
-        mul_backprop, scale_backprop = y._backprop, h._backprop
-
-        def spy_mul(g):
-            grads = mul_backprop(g)
-            refs.append(weakref.ref(grads[1]))
-            return grads
-
-        def spy_scale(g):
-            alive.append(refs[0]() is not None)
-            return scale_backprop(g)
-
-        y._backprop, h._backprop = spy_mul, spy_scale
+        c = np.array([[1.0, 2.0], [4.0, 8.0]])
+        y = op(h, Tensor(c))
+        gh, gc = y._backprop(np.ones((2, 2)))
+        assert gc is None
+        assert not any(a is h.data for a in _closure_arrays(y))
         ad.tsum(y).backward()
-        assert alive == [False]
-        assert np.array_equal(x.grad, [0.0, 4.0, 4.0, 0.0])
+        assert np.array_equal(x.grad, 2.0 * gh)
 
 
 class TestDtypeFollowsOperand:
@@ -860,6 +868,17 @@ class TestGradCheck:
             return ad.tsum(coef * bn + (coef * bn) ** 2)
 
         assert grad_check(fn, [(3, 2, 4, 4), (2,), (2,)], seed=6) < 1e-5
+
+    def test_batch_norm_eval(self):
+        rng = np.random.default_rng(61)
+        coef = Tensor(rng.standard_normal((3, 2, 4, 4)))
+        stats = [rng.standard_normal(2), rng.random(2) + 0.5]
+
+        def fn(x, g, b):
+            bn = ad.batch_norm(x, g, b, *stats, training=False)
+            return ad.tsum(coef * bn + (coef * bn) ** 2)
+
+        assert grad_check(fn, [(3, 2, 4, 4), (2,), (2,)], seed=7) < self.TOL
 
     def test_instance_norm(self):
         err = grad_check(

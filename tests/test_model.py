@@ -217,12 +217,12 @@ class TestTapeRelease:
         model = md.RespiratoryClassifier(tiny_config(dropout=0.5), seed=0)
         x = np.random.default_rng(0).standard_normal((2, 1, 16, 32))
         loss = ad.tsum(model(x, training=True, rng=np.random.default_rng(1)))
-        interior = [n for n in ad._toposort(loss) if n._parents]
+        interior = [h for h in ad._toposort(loss._handle) if h.parents]
         assert len(interior) > 100
         loss.backward()
-        for node in interior:
-            assert node._parents == ()
-            assert node._backprop is ad._unwound
+        for handle in interior:
+            assert handle.parents == ()
+            assert handle.backprop is ad._unwound
         with pytest.raises(UsageError):
             loss.backward()
 

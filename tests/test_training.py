@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +242,80 @@ class TestTapeSize:
         assert sum(recorded) == 239
 
 
+def closure_contents(fn):
+    """Every object the function `fn` refers to through its closure cells
+    and defaults, following the functions, lists, tuples and dicts found
+    there."""
+    found, todo, seen = [], [fn], set()
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        found.append(item)
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif callable(item) and hasattr(item, "__closure__"):
+            todo.extend(cell.cell_contents for cell in item.__closure__ or ())
+            todo.extend(item.__defaults__ or ())
+    return found
+
+
+class TestTapeHoldsOnlyWhatBackwardReads:
+    """A training forward plus `kl_loss` (dropout, L2) at the criterion-6
+    geometry: the tape's closures hold arrays and shapes, never a Tensor, so
+    an activation that no backward reads is freed during the forward."""
+
+    @staticmethod
+    def loss():
+        cfg = ModelConfig(
+            input_dims=(118, 118), n_classes=7, doub_inc_channels=8,
+            inc_res_channels=(12, 16), attn_heads=2, attn_key_dim=8,
+            fc_hidden=64, dropout=0.2,
+        )
+        model = RespiratoryClassifier(cfg, seed=0)
+        batch = np.random.default_rng(1).standard_normal((7, 1, 118, 118))
+        probs = model.forward(batch, training=True,
+                              rng=np.random.default_rng(0))
+        return tr.kl_loss(np.eye(7), probs,
+                          tr.regularized_parameters(model).values(), 1e-4)
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        handles = ad._toposort(self.loss()._handle)
+        interior = [h for h in handles if h.backprop is not None]
+        assert len(interior) > 200
+        for h in interior:
+            held = [type(item).__name__ for item in closure_contents(h.backprop)
+                    if isinstance(item, Tensor)]
+            assert held == [], h.backprop.__qualname__
+
+    def test_unread_activations_are_freed_before_backward(self, monkeypatch):
+        # no backward reads a convolution's output or a training batch
+        # norm's output: batch norm keeps xhat, ReLU its own output and max
+        # pooling the index of each window's maximum
+        refs = []
+
+        def recorded(op):
+            def wrapper(*args, **kwargs):
+                out = op(*args, **kwargs)
+                refs.append((op.__name__, weakref.ref(out),
+                             weakref.ref(out.data)))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(ad, "conv2d_sum", recorded(ad.conv2d_sum))
+        monkeypatch.setattr(ad, "batch_norm", recorded(ad.batch_norm))
+        loss = self.loss()
+        names = [name for name, _, _ in refs]
+        assert (names.count("conv2d_sum"), names.count("batch_norm")) == (8, 4)
+        alive = [name for name, tensor, data in refs
+                 if tensor() is not None or data() is not None]
+        assert alive == []
+        loss.backward()
+
+
 class TestNonFiniteInput:
     def test_nan_reaches_the_loss_guard(self):
         """A NaN in the batch survives ReLU and the prediction floor, so the
@@ -387,6 +462,13 @@ class TestCheckpoint:
         params = model.parameters()
         for name, p in resumed.parameters().items():
             assert np.array_equal(p.data, params[name].data), name
+
+    def test_float64_model_rejected(self, tmp_path):
+        model = tiny_model(dtype=np.float64)
+        path = tmp_path / "model.lsck"
+        with pytest.raises(InvalidInputError, match="float64"):
+            tr.save_checkpoint(path, model, tr.Adam(model.parameters()))
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.lsck"

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Spectrogram
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, require_counts
 
 LABEL_TOL = 1e-6
 # mixup's lambda ~ Beta(MIXUP_ALPHA, MIXUP_ALPHA)
@@ -35,8 +35,7 @@ class AugmentConfig:
     oversample: bool = True
 
     def __post_init__(self):
-        if self.crop_bins < 0:
-            raise InvalidConfigError("crop_bins must be >= 0")
+        require_counts("augment", least=0, crop_bins=self.crop_bins)
 
 
 def balanced_oversample(class_of, batch_size, rng_seed):

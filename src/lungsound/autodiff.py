@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError, UsageError
 
-AXIS_NAMES = {"channel": 1, "frequency": 2, "time": 3}
 # added to the variance under the square root of every normalization
 NORM_EPS = 1e-5
 
@@ -416,24 +415,26 @@ def _bands(n, ho, row_bytes):
             for i in range(n) for r in range(0, ho, rows)]
 
 
-def _flush_subnormal(g, out=None):
-    """g with every entry below the dtype's smallest normal magnitude set
-    to zero, written to `out` (a new array if None): BLAS on subnormal
-    operands is many times slower. A NaN stays NaN."""
-    keep = np.abs(g, out=out)
+def _flush_subnormal(g):
+    """A new array of g with every entry below the dtype's smallest normal
+    magnitude set to zero: BLAS on subnormal operands is many times slower.
+    A NaN stays NaN."""
+    keep = np.abs(g)
     np.greater_equal(keep, np.finfo(g.dtype).tiny, out=keep)
     keep *= g
     return keep
 
 
-def _band_columns(src, taps, top, left, rows, width):
-    """The im2col columns of the N×C×… array `src`, one band at a time (see
+def _band_columns(src, taps, rows, width):
+    """The im2col columns of the N×C×H×W array `src`, one band at a time (see
     `_bands`): yields ((i0, i1, r0, r1), columns) for samples i0:i1 and
     rows r0:r1, where columns is samples × (C·taps) × (rows·width) and
-    entry (ch, t, r, x) is src[ch, top + dy_t + r0 + r, left + dx_t + x].
-    Every band is filled into the same buffer, so a band's columns are
-    valid until the next one is yielded."""
-    n, c = src.shape[:2]
+    entry (ch, t, r, x) is src[ch, dy_t + r0 + r, dx_t + x], or 0 where that
+    lies outside src. So the zero border of a padded convolution is written
+    here, tap by tap, and no padded copy of `src` is made. Every band is
+    filled into the same buffer, so a band's columns are valid until the
+    next one is yielded."""
+    n, c, h, w = src.shape
     k = c * len(taps)
     bands = _bands(n, rows, k * width * src.itemsize)
     # the first band is the largest: one buffer serves every band
@@ -444,8 +445,20 @@ def _band_columns(src, taps, top, left, rows, width):
         cols = buf[: (i1 - i0) * k * (r1 - r0) * width].reshape(
             i1 - i0, c, len(taps), r1 - r0, width)
         for t, (dy, dx) in enumerate(taps):
-            cols[:, :, t] = src[i0:i1, :, top + dy + r0 : top + dy + r1,
-                                left + dx : left + dx + width]
+            # the band's rows a:b and columns p:q lie inside src, every
+            # bound clamped to the band; the rest of the tap is border
+            a = min(max(-dy - r0, 0), r1 - r0)
+            b = min(max(h - dy - r0, a), r1 - r0)
+            p = min(max(-dx, 0), width)
+            q = min(max(w - dx, p), width)
+            tap = cols[:, :, t]
+            tap[:, :, :a] = 0
+            tap[:, :, b:] = 0
+            tap[:, :, a:b, :p] = 0
+            tap[:, :, a:b, q:] = 0
+            if a < b and p < q:
+                tap[:, :, a:b, p:q] = src[i0:i1, :, dy + r0 + a : dy + r0 + b,
+                                          dx + p : dx + q]
         yield band, cols.reshape(i1 - i0, k, -1)
 
 
@@ -467,7 +480,10 @@ def conv2d_sum(x, weights, biases, padding="same"):
     the per-offset sum of the kernels' weights gives the sum of the
     separate convolutions. Each kernel's gradient is its own taps' slice of
     the merged weight gradient. All columns are built one band at a time by
-    `_band_columns`, and no node keeps any for its backward.
+    `_band_columns`, and no node keeps any for its backward. The same
+    function writes the zero border: a tap that falls outside the array it
+    reads gets zeros, so no padded copy of the input or of the gradient is
+    made. "valid" taps never leave the input.
 
     The backward lays out im2col columns of the output gradient over the
     input's positions, one band of input rows at a time: entry (o, tap,
@@ -508,11 +524,6 @@ def conv2d_sum(x, weights, biases, padding="same"):
     taps = sorted(set().union(*offsets))
     where = {tap: t for t, tap in enumerate(taps)}
     slots = [[where[tap] for tap in offs] for offs in offsets]
-    top = -min(dy for dy, _ in taps)
-    left = -min(dx for _, dx in taps)
-    bottom = max(dy for dy, _ in taps)
-    right = max(dx for _, dx in taps)
-    pads = ((0, 0), (0, 0), (top, ho - h + bottom), (left, wo - wd + right))
     k = c * len(taps)
 
     xd, x_needs = x.data, x.requires_grad
@@ -522,27 +533,20 @@ def conv2d_sum(x, weights, biases, padding="same"):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
     w2 = merged.reshape(o, k)
     out = np.empty((n, o, ho, wo), dtype=np.result_type(w2.dtype, xd.dtype))
-    for (i0, i1, r0, r1), cols in _band_columns(np.pad(xd, pads), taps, top,
-                                                left, ho, wo):
+    for (i0, i1, r0, r1), cols in _band_columns(xd, taps, ho, wo):
         # a view: a band's rows of one channel are contiguous in `out`
         np.matmul(w2, cols, out=out[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
     if biases:
         out += sum(b.data for b in biases).reshape(o, 1, 1)
 
     def backprop(g):
+        gf = _flush_subnormal(g)
         if x_needs:
-            # the flushed g, padded so that every tap's shift of the input
-            # rows and columns stays inside it
-            gp = np.zeros((n, o, bottom + h + top, right + wd + left),
-                          dtype=g.dtype)
-            _flush_subnormal(g, out=gp[:, :, bottom : bottom + ho,
-                                       right : right + wo])
             w_r = merged.transpose(1, 0, 2).reshape(c, -1)
             gx = np.empty(xd.shape, dtype=g.dtype)
             gw = np.zeros((o * len(taps), c), dtype=g.dtype)
             flipped = [(-dy, -dx) for dy, dx in taps]
-            for (i0, i1, r0, r1), gc in _band_columns(gp, flipped, bottom,
-                                                      right, h, wd):
+            for (i0, i1, r0, r1), gc in _band_columns(gf, flipped, h, wd):
                 # views, as in the forward
                 np.matmul(w_r, gc,
                           out=gx[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1))
@@ -550,10 +554,9 @@ def conv2d_sum(x, weights, biases, padding="same"):
                 gw += np.matmul(gc, xb.transpose(0, 2, 1)).sum(axis=0)
             gw = gw.reshape(o, len(taps), c).transpose(0, 2, 1)
         else:
-            gx, gf = None, _flush_subnormal(g)
+            gx = None
             gw = np.zeros((o, k), dtype=g.dtype)
-            for (i0, i1, r0, r1), cols in _band_columns(
-                    np.pad(xd, pads), taps, top, left, ho, wo):
+            for (i0, i1, r0, r1), cols in _band_columns(xd, taps, ho, wo):
                 gband = gf[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1)
                 gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
             gw = gw.reshape(o, c, len(taps))
@@ -638,15 +641,6 @@ def pool2d(x, mode):
         return (gx,)
 
     return _node(out, (x,), backprop)
-
-
-def global_avg_over(x, axis):
-    """Collapse one named axis ("channel"/"frequency"/"time") by its mean."""
-    return tmean(x, AXIS_NAMES[axis])
-
-
-def global_max_over(x, axis):
-    return tmax(x, AXIS_NAMES[axis])
 
 
 # -- normalizations ------------------------------------------------------------

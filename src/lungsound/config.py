@@ -91,6 +91,8 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.size not in PAPER_SIZES and not self.allow_custom_size:
             raise InvalidConfigError(
                 f"spectrogram size {self.size[0]}x{self.size[1]} is "

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the range checks of config values."""
+
+import math
 
 
 class LungsoundError(Exception):
@@ -23,3 +25,21 @@ class FormatError(LungsoundError, ValueError):
 
 class UsageError(LungsoundError, RuntimeError):
     """An API was called in an unsupported order."""
+
+
+def require_counts(section, least=1, **counts):
+    """InvalidConfigError naming `section.key` for the first count below
+    `least`."""
+    for key, value in counts.items():
+        if value < least:
+            raise InvalidConfigError(
+                f"{section}.{key} must be >= {least}, got {value!r}")
+
+
+def require_rates(section, **rates):
+    """InvalidConfigError naming `section.key` for the first rate that is
+    not a finite number >= 0."""
+    for key, value in rates.items():
+        if not 0 <= value < math.inf:
+            raise InvalidConfigError(
+                f"{section}.{key} must be finite and >= 0, got {value!r}")

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, residual_norm
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import (InvalidConfigError, InvalidInputError,
+                     require_counts, require_rates)
 
 
 # kernel sizes of each Inc-Res block's branches: IncFT KxK, IncT 1xK
@@ -36,14 +37,20 @@ class ModelConfig:
     dropout: float = 0.2
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise InvalidConfigError("need at least two classes")
-        if self.rn_lambda < 0:
-            raise InvalidConfigError("rn_lambda must be >= 0")
-        if self.attn_heads * self.attn_key_dim <= 0:
-            raise InvalidConfigError("attention dims must be positive")
         if len(self.inc_res_channels) != 2:
-            raise InvalidConfigError("exactly two Inc-Res blocks are built")
+            raise InvalidConfigError(
+                "model.inc_res_channels: exactly two Inc-Res blocks are built")
+        require_counts("model", least=2, n_classes=self.n_classes)
+        require_counts(
+            "model", doub_inc_channels=self.doub_inc_channels,
+            attn_heads=self.attn_heads, attn_key_dim=self.attn_key_dim,
+            fc_hidden=self.fc_hidden,
+            **{f"inc_res_channels[{i}]": c
+               for i, c in enumerate(self.inc_res_channels)})
+        require_rates("model", rn_lambda=self.rn_lambda)
+        if not 0 <= self.dropout < 1:
+            raise InvalidConfigError(
+                f"model.dropout must be in [0, 1), got {self.dropout!r}")
 
     def block_dims(self):
         """(channels, F, T) entering each stage, ending at the pooling block."""
@@ -223,8 +230,12 @@ class DoubIncBlock(Module):
         self.drop = drop
 
     def __call__(self, x, training, rng):
-        x = ad.relu(self.bn_a(self.inc_a(x), training))
-        x = ad.relu(self.bn_b(self.inc_b(x), training))
+        # one layer per statement, so that under no_grad each layer's input
+        # is freed as soon as that layer returns
+        for inc, bn in ((self.inc_a, self.bn_a), (self.inc_b, self.bn_b)):
+            x = inc(x)
+            x = bn(x, training)
+            x = ad.relu(x)
         x = ad.pool2d(x, "avg")
         x = ad.dropout(x, self.drop, training, rng)
         return residual_norm(x, self.rn_lambda)
@@ -263,9 +274,9 @@ def pooling_maps(x):
     """Three global views of an N×C×F×T tensor:
     mean over channels (N×F×T), max over time (N×F×C), mean over frequency
     (N×T×C)."""
-    m1 = ad.global_avg_over(x, "channel")
-    m2 = ad.transpose(ad.global_max_over(x, "time"), (0, 2, 1))
-    m3 = ad.transpose(ad.global_avg_over(x, "frequency"), (0, 2, 1))
+    m1 = ad.tmean(x, 1)
+    m2 = ad.transpose(ad.tmax(x, 3), (0, 2, 1))
+    m3 = ad.transpose(ad.tmean(x, 2), (0, 2, 1))
     return m1, m2, m3
 
 

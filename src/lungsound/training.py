@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .augment import balanced_oversample, center_crop, make_batch
 from .autodiff import Tensor
-from .errors import FormatError, InvalidConfigError, InvalidInputError
+from .errors import (FormatError, InvalidInputError, require_counts,
+                     require_rates)
 from .evaluation import evaluate_predictions
 from .model import ModelConfig, RespiratoryClassifier, typed_like
 
@@ -45,12 +46,13 @@ class TrainConfig:
     early_stop_evals: int = 20
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.eval_every) < 0 or (
-            self.batch_size == 0 or self.eval_every == 0
-        ):
-            raise InvalidConfigError("train config values must be positive")
-        if self.learning_rate < 0 or self.l2_lambda < 0:
-            raise InvalidConfigError("rates must be nonnegative")
+        # zero epochs is a run that saves the model it starts from
+        require_counts("train", least=0, epochs=self.epochs)
+        require_counts("train", batch_size=self.batch_size,
+                       eval_every=self.eval_every,
+                       early_stop_evals=self.early_stop_evals)
+        require_rates("train", learning_rate=self.learning_rate,
+                      l2_lambda=self.l2_lambda)
 
 
 def regularized_parameters(model):

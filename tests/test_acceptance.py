@@ -109,13 +109,13 @@ def test_criterion_3_gradient_suite():
             ("pool_max", lambda x: ad.tsum(ad.pool2d(x, "max") ** 2),
              [(2, 2, 4, 6)]),
             ("global_avg_c",
-             lambda x: ad.tsum(ad.global_avg_over(x, "channel") ** 2),
+             lambda x: ad.tsum(ad.tmean(x, 1) ** 2),
              [(2, 3, 4, 5)]),
             ("global_max_t",
-             lambda x: ad.tsum(ad.global_max_over(x, "time") ** 2),
+             lambda x: ad.tsum(ad.tmax(x, 3) ** 2),
              [(2, 3, 4, 5)]),
             ("global_avg_f",
-             lambda x: ad.tsum(ad.global_avg_over(x, "frequency") ** 2),
+             lambda x: ad.tsum(ad.tmean(x, 2) ** 2),
              [(2, 3, 4, 5)]),
             ("instance_norm",
              lambda x: ad.tsum(ad.instance_norm_freq(x) ** 3), [(1, 2, 2, 6)]),

@@ -158,27 +158,32 @@ class TestConv2dBands:
     """The band loop, with the band budget shrunk so that one convolution
     runs as many bands, against the oracles in float64."""
 
-    # kernels, padding, number of taps in their union
+    # kernels, padding, number of taps in their union, input H×W; the
+    # border cases have taps that lie wholly outside the input
     CASES = {
-        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10),
-        "inct_5_7": ([(1, 5), (1, 7)], "same", 7),
-        "valid_3x3": ([(3, 3)], "valid", 9),
+        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10, (7, 11)),
+        "inct_5_7": ([(1, 5), (1, 7)], "same", 7, (7, 11)),
+        "valid_3x3": ([(3, 3)], "valid", 9, (7, 11)),
+        "border_inc01_h1": ([(3, 3), (1, 1), (4, 1)], "same", 10, (1, 11)),
+        "border_inc01_h2": ([(3, 3), (1, 1), (4, 1)], "same", 10, (2, 11)),
+        "border_1x9_w3": ([(1, 9)], "same", 9, (7, 3)),
     }
     N, C_IN = 3, 3
 
     @staticmethod
     def budget(layout, n_taps, ho, wo, c_in=3):
-        """Band bytes for one-row bands, three-row bands (the last one
-        ragged) or two whole samples per band (the last one ragged)."""
+        """Band bytes for one band, one-row bands, three-row bands (the last
+        one ragged) or two whole samples per band (the last one ragged)."""
         row = c_in * n_taps * wo * 8
-        return {"rows1": row, "rows3": 3 * row, "samples2": 2 * ho * row}[layout]
+        return {"one": ad._BAND_BYTES, "rows1": row, "rows3": 3 * row,
+                "samples2": 2 * ho * row}[layout]
 
-    @pytest.mark.parametrize("layout", ["rows1", "rows3", "samples2"])
+    @pytest.mark.parametrize("layout", ["one", "rows1", "rows3", "samples2"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_oracles(self, monkeypatch, name, layout):
-        kernels, padding, n_taps = self.CASES[name]
+        kernels, padding, n_taps, (h, w) = self.CASES[name]
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((self.N, self.C_IN, 7, 11))
+        x = rng.standard_normal((self.N, self.C_IN, h, w))
         weights, biases = TestConv2dSum.branch_params(rng, kernels)
 
         def run(conv_sum):
@@ -277,33 +282,38 @@ class TestConv2dBackward:
     so that its bands over the input rows are one band, one-row bands,
     three-row bands or two-sample bands, against the oracles in float64."""
 
-    # kernels, padding, number of taps in their union
+    # kernels, padding, number of taps in their union, input H×W; the
+    # border cases have taps that lie wholly outside the input
     CASES = {
-        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10),
-        "inct_5_7": ([(1, 5), (1, 7)], "same", 7),
-        "valid_3x3": ([(3, 3)], "valid", 9),
-        "one_by_one": ([(1, 1)], "same", 1),
-        "even_2x4": ([(2, 4)], "same", 8),
+        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10, (7, 11)),
+        "inct_5_7": ([(1, 5), (1, 7)], "same", 7, (7, 11)),
+        "valid_3x3": ([(3, 3)], "valid", 9, (7, 11)),
+        "one_by_one": ([(1, 1)], "same", 1, (7, 11)),
+        "even_2x4": ([(2, 4)], "same", 8, (7, 11)),
+        "border_inc01_h1": ([(3, 3), (1, 1), (4, 1)], "same", 10, (1, 11)),
+        "border_inc01_h2": ([(3, 3), (1, 1), (4, 1)], "same", 10, (2, 11)),
+        "border_1x9_w3": ([(1, 9)], "same", 9, (7, 3)),
     }
-    N, C_IN, C_OUT, H, W = 3, 3, 4, 7, 11
+    N, C_IN, C_OUT = 3, 3, 4
 
     @classmethod
-    def budget(cls, layout, n_taps):
-        """Band bytes for the backward's bands over the input rows: one
-        band, one-row bands, three-row bands (the last one ragged) or two
-        whole samples per band (the last one ragged)."""
-        row = cls.C_OUT * n_taps * cls.W * 8
+    def budget(cls, layout, n_taps, h, w):
+        """Band bytes for the backward's bands over the h×w input's rows:
+        one band, one-row bands, three-row bands (the last one ragged) or
+        two whole samples per band (the last one ragged)."""
+        row = cls.C_OUT * n_taps * w * 8
         return {"one": ad._BAND_BYTES, "rows1": row, "rows3": 3 * row,
-                "samples2": 2 * cls.H * row}[layout]
+                "samples2": 2 * h * row}[layout]
 
     @pytest.mark.parametrize("layout", ["one", "rows1", "rows3", "samples2"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_oracles(self, monkeypatch, name, layout):
-        kernels, padding, n_taps = self.CASES[name]
+        kernels, padding, n_taps, (h, w) = self.CASES[name]
         rng = np.random.default_rng(16)
-        x = rng.standard_normal((self.N, self.C_IN, self.H, self.W))
+        x = rng.standard_normal((self.N, self.C_IN, h, w))
         weights, biases = TestConv2dSum.branch_params(rng, kernels)
-        monkeypatch.setattr(ad, "_BAND_BYTES", self.budget(layout, n_taps))
+        monkeypatch.setattr(ad, "_BAND_BYTES",
+                            self.budget(layout, n_taps, h, w))
         xt = Tensor(x, requires_grad=True)
         out = ad.conv2d_sum(xt, weights, biases, padding)
         g = np.random.default_rng(17).standard_normal(out.shape)
@@ -326,7 +336,7 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("name", ["even_2x4", "valid_3x3"])
     def test_grad_check_multi_band(self, monkeypatch, name):
         monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
-        kernels, padding, _ = self.CASES[name]
+        kernels, padding, _, _ = self.CASES[name]
 
         def fn(x, *params):
             weights, biases = params[: len(kernels)], params[len(kernels):]
@@ -338,20 +348,22 @@ class TestConv2dBackward:
 
     @pytest.mark.parametrize("layout", ["one", "rows1"])
     def test_constant_input_weight_gradient(self, monkeypatch, layout):
-        kernels, padding, n_taps = self.CASES["inc01"]
-        rng = np.random.default_rng(19)
-        x = rng.standard_normal((self.N, self.C_IN, self.H, self.W))
-        weights, _ = TestConv2dSum.branch_params(rng, kernels)
-        if layout == "rows1":  # bands over the output rows, as the forward's
-            monkeypatch.setattr(ad, "_BAND_BYTES",
-                                self.C_IN * n_taps * self.W * 8)
-        out = ad.conv2d_sum(Tensor(x), weights, [], padding)
-        g = np.random.default_rng(20).standard_normal(out.shape)
-        gx, *gws = out._backprop(g)
-        assert gx is None
-        for got, w in zip(gws, weights):
-            want = conv2d_loop_grads(x, w.data, g, padding)[1]
-            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for name in ["inc01", "border_inc01_h1", "border_inc01_h2",
+                     "border_1x9_w3"]:
+            kernels, padding, n_taps, (h, w) = self.CASES[name]
+            rng = np.random.default_rng(19)
+            x = rng.standard_normal((self.N, self.C_IN, h, w))
+            weights, _ = TestConv2dSum.branch_params(rng, kernels)
+            if layout == "rows1":  # output-row bands, as in the forward
+                monkeypatch.setattr(ad, "_BAND_BYTES",
+                                    self.C_IN * n_taps * w * 8)
+            out = ad.conv2d_sum(Tensor(x), weights, [], padding)
+            g = np.random.default_rng(20).standard_normal(out.shape)
+            gx, *gws = out._backprop(g)
+            assert gx is None
+            for got, wt in zip(gws, weights):
+                want = conv2d_loop_grads(x, wt.data, g, padding)[1]
+                assert np.allclose(got, want, rtol=0, atol=1e-12), name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_constant_input_flushes_subnormal_gradient(self, dtype):
@@ -414,9 +426,9 @@ class TestPooling:
     def test_global_variants_match_loop_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 4, 5))
-        avg_c = ad.global_avg_over(Tensor(x), "channel").data
-        max_t = ad.global_max_over(Tensor(x), "time").data
-        avg_f = ad.global_avg_over(Tensor(x), "frequency").data
+        avg_c = ad.tmean(Tensor(x), 1).data
+        max_t = ad.tmax(Tensor(x), 3).data
+        avg_f = ad.tmean(Tensor(x), 2).data
         for n in range(2):
             for f in range(4):
                 for t in range(5):
@@ -849,9 +861,9 @@ class TestGradCheck:
 
     def test_global_pools(self):
         err = grad_check(
-            lambda x: ad.tsum(ad.global_avg_over(x, "channel") ** 2)
-            + ad.tsum(ad.global_max_over(x, "time") ** 2)
-            + ad.tsum(ad.global_avg_over(x, "frequency") ** 2),
+            lambda x: ad.tsum(ad.tmean(x, 1) ** 2)
+            + ad.tsum(ad.tmax(x, 3) ** 2)
+            + ad.tsum(ad.tmean(x, 2) ** 2),
             [(2, 3, 4, 5)], seed=5,
         )
         assert err < self.TOL

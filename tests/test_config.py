@@ -142,3 +142,40 @@ class TestSchema:
             block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
         assert set(parse_kv(block)) == set(config_keys())
         assert load_run_config(text=block) == RunConfig()
+
+
+# one out-of-range value per config line: (text, the key the error names)
+OUT_OF_RANGE = {
+    "heads_and_key_dim_negative": (
+        "model.attn_heads = -2\nmodel.attn_key_dim = -4", "model.attn_heads"),
+    "key_dim_zero": ("model.attn_key_dim = 0", "model.attn_key_dim"),
+    "inc_res_channel_zero": ("model.inc_res_channels = 0,4",
+                             "model.inc_res_channels"),
+    "one_inc_res_block": ("model.inc_res_channels = 4",
+                          "model.inc_res_channels"),
+    "doub_inc_channels_zero": ("model.doub_inc_channels = 0",
+                               "model.doub_inc_channels"),
+    "fc_hidden_zero": ("model.fc_hidden = 0", "model.fc_hidden"),
+    "rn_lambda_nan": ("model.rn_lambda = nan", "model.rn_lambda"),
+    "rn_lambda_negative": ("model.rn_lambda = -0.1", "model.rn_lambda"),
+    "dropout_one": ("model.dropout = 1", "model.dropout"),
+    "dropout_nan": ("model.dropout = nan", "model.dropout"),
+    "learning_rate_nan": ("train.learning_rate = nan", "train.learning_rate"),
+    "learning_rate_negative": ("train.learning_rate = -1",
+                               "train.learning_rate"),
+    "l2_lambda_inf": ("train.l2_lambda = inf", "train.l2_lambda"),
+    "early_stop_evals_negative": ("train.early_stop_evals = -3",
+                                  "train.early_stop_evals"),
+    "batch_size_zero": ("train.batch_size = 0", "train.batch_size"),
+    "eval_every_zero": ("train.eval_every = 0", "train.eval_every"),
+    "epochs_negative": ("train.epochs = -1", "train.epochs"),
+    "crop_bins_negative": ("augment.crop_bins = -1", "augment.crop_bins"),
+    "seed_negative": ("seed = -1", "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_rejected_by_name(case):
+    text, key = OUT_OF_RANGE[case]
+    with pytest.raises(InvalidConfigError, match=rf"^{re.escape(key)}\b"):
+        load_run_config(text=text + "\n")

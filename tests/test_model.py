@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,32 @@ class TestTapeRelease:
             assert handle.backprop is ad._unwound
         with pytest.raises(UsageError):
             loss.backward()
+
+
+class TestEvalMemory:
+    def test_doub_inc_eval_holds_two_activations(self, monkeypatch):
+        """An eval forward of the Doub-Inc block holds at most two
+        full-size activations at once, besides one band of columns and the
+        merged weights: no padded copy of a convolution's input, and no
+        layer's input kept alive past the layer."""
+        monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
+        c, n, h, w = 16, 2, 40, 64
+        block = md.DoubIncBlock(c, 0.4, 0.2, np.random.default_rng(0),
+                                np.float32)
+        x = Tensor(np.random.default_rng(1).standard_normal(
+            (n, 1, h, w)).astype(np.float32))
+        activation = n * c * h * w * 4
+        band = c * 10 * w * 4  # one row of inc_b's columns over 10 taps
+        merged = c * c * 10 * 4
+        with ad.no_grad():
+            block(x, False, None)  # first-call caches stay out of the count
+            tracemalloc.start()
+            try:
+                block(x, False, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * activation + band + merged + activation // 10
 
 
 class TestEndToEndGradient:

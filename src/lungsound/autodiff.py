@@ -403,15 +403,11 @@ _BAND_BYTES = 32 << 20
 
 
 def _bands(n, ho, row_bytes):
-    """(first sample, end sample, first row, end row) bands that tile the
-    n×ho rows, each with at most `_BAND_BYTES` of columns (and at least one
-    row); `row_bytes` are one sample's columns for one row. Whole samples
-    share a band when one fits, else a band is a run of one sample's rows."""
+    """(sample, first row, end row) bands that tile the n×ho rows, each a
+    run of one sample's rows with at most `_BAND_BYTES` of columns (and at
+    least one row); `row_bytes` are one sample's columns for one row."""
     rows = max(1, _BAND_BYTES // row_bytes)
-    if rows >= ho:
-        step = rows // ho
-        return [(i, min(i + step, n), 0, ho) for i in range(0, n, step)]
-    return [(i, i + 1, r, min(r + rows, ho))
+    return [(i, r, min(r + rows, ho))
             for i in range(n) for r in range(0, ho, rows)]
 
 
@@ -427,23 +423,22 @@ def _flush_subnormal(g):
 
 def _band_columns(src, taps, rows, width):
     """The im2col columns of the N×C×H×W array `src`, one band at a time (see
-    `_bands`): yields ((i0, i1, r0, r1), columns) for samples i0:i1 and
-    rows r0:r1, where columns is samples × (C·taps) × (rows·width) and
-    entry (ch, t, r, x) is src[ch, dy_t + r0 + r, dx_t + x], or 0 where that
-    lies outside src. So the zero border of a padded convolution is written
-    here, tap by tap, and no padded copy of `src` is made. Every band is
-    filled into the same buffer, so a band's columns are valid until the
-    next one is yielded."""
+    `_bands`): yields ((i, r0, r1), columns) for rows r0:r1 of sample i,
+    where columns is (C·taps) × (rows·width) and entry (ch, t, r, x) is
+    src[i, ch, dy_t + r0 + r, dx_t + x], or 0 where that lies outside src.
+    So the zero border of a padded convolution is written here, tap by tap,
+    and no padded copy of `src` is made. Every band is filled into the same
+    buffer, so a band's columns are valid until the next one is yielded."""
     n, c, h, w = src.shape
     k = c * len(taps)
     bands = _bands(n, rows, k * width * src.itemsize)
     # the first band is the largest: one buffer serves every band
-    i0, i1, r0, r1 = bands[0]
-    buf = np.empty((i1 - i0) * k * (r1 - r0) * width, dtype=src.dtype)
+    _, r0, r1 = bands[0]
+    buf = np.empty(k * (r1 - r0) * width, dtype=src.dtype)
     for band in bands:
-        i0, i1, r0, r1 = band
-        cols = buf[: (i1 - i0) * k * (r1 - r0) * width].reshape(
-            i1 - i0, c, len(taps), r1 - r0, width)
+        i, r0, r1 = band
+        cols = buf[: k * (r1 - r0) * width].reshape(
+            c, len(taps), r1 - r0, width)
         for t, (dy, dx) in enumerate(taps):
             # the band's rows a:b and columns p:q lie inside src, every
             # bound clamped to the band; the rest of the tap is border
@@ -451,15 +446,15 @@ def _band_columns(src, taps, rows, width):
             b = min(max(h - dy - r0, a), r1 - r0)
             p = min(max(-dx, 0), width)
             q = min(max(w - dx, p), width)
-            tap = cols[:, :, t]
-            tap[:, :, :a] = 0
-            tap[:, :, b:] = 0
-            tap[:, :, a:b, :p] = 0
-            tap[:, :, a:b, q:] = 0
+            tap = cols[:, t]
+            tap[:, :a] = 0
+            tap[:, b:] = 0
+            tap[:, a:b, :p] = 0
+            tap[:, a:b, q:] = 0
             if a < b and p < q:
-                tap[:, :, a:b, p:q] = src[i0:i1, :, dy + r0 + a : dy + r0 + b,
-                                          dx + p : dx + q]
-        yield band, cols.reshape(i1 - i0, k, -1)
+                tap[:, a:b, p:q] = src[i, :, dy + r0 + a : dy + r0 + b,
+                                       dx + p : dx + q]
+        yield band, cols.reshape(k, -1)
 
 
 def conv2d(x, w, bias, padding="same"):
@@ -480,17 +475,18 @@ def conv2d_sum(x, weights, biases, padding="same"):
     the per-offset sum of the kernels' weights gives the sum of the
     separate convolutions. Each kernel's gradient is its own taps' slice of
     the merged weight gradient. All columns are built one band at a time by
-    `_band_columns`, and no node keeps any for its backward. The same
+    `_band_columns`, a band being a run of one sample's rows, so every GEMM
+    is 2-d and no node keeps any columns for its backward. The same
     function writes the zero border: a tap that falls outside the array it
     reads gets zeros, so no padded copy of the input or of the gradient is
     made. "valid" taps never leave the input.
 
     The backward lays out im2col columns of the output gradient over the
-    input's positions, one band of input rows at a time: entry (o, tap,
-    y, x) is g[o, y - dy, x - dx], zero outside g. Against the merged
-    weight, as C × (O·taps), they give the band's input gradient in one
-    GEMM, and against the band's input the weight gradient in another, so
-    the input's columns are never rebuilt and nothing is scattered. A node
+    input's positions, one band of a sample's input rows at a time: entry
+    (o, tap, y, x) is g[i, o, y - dy, x - dx], zero outside g. Against the
+    merged weight, as C × (O·taps), they give the band's input gradient in
+    one GEMM, and against the band's input the weight gradient in another,
+    so the input's columns are never rebuilt and nothing is scattered. A node
     whose input is a constant needs only the weight gradient, which it
     gets from its input's columns, built again band by band. The backward
     flushes subnormal output gradients to zero once per node; the bias
@@ -533,9 +529,9 @@ def conv2d_sum(x, weights, biases, padding="same"):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
     w2 = merged.reshape(o, k)
     out = np.empty((n, o, ho, wo), dtype=np.result_type(w2.dtype, xd.dtype))
-    for (i0, i1, r0, r1), cols in _band_columns(xd, taps, ho, wo):
+    for (i, r0, r1), cols in _band_columns(xd, taps, ho, wo):
         # a view: a band's rows of one channel are contiguous in `out`
-        np.matmul(w2, cols, out=out[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1))
+        np.matmul(w2, cols, out=out[i, :, r0:r1].reshape(o, -1))
     if biases:
         out += sum(b.data for b in biases).reshape(o, 1, 1)
 
@@ -546,19 +542,16 @@ def conv2d_sum(x, weights, biases, padding="same"):
             gx = np.empty(xd.shape, dtype=g.dtype)
             gw = np.zeros((o * len(taps), c), dtype=g.dtype)
             flipped = [(-dy, -dx) for dy, dx in taps]
-            for (i0, i1, r0, r1), gc in _band_columns(gf, flipped, h, wd):
-                # views, as in the forward
-                np.matmul(w_r, gc,
-                          out=gx[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1))
-                xb = xd[i0:i1, :, r0:r1].reshape(i1 - i0, c, -1)
-                gw += np.matmul(gc, xb.transpose(0, 2, 1)).sum(axis=0)
+            for (i, r0, r1), gc in _band_columns(gf, flipped, h, wd):
+                # a view, as in the forward
+                np.matmul(w_r, gc, out=gx[i, :, r0:r1].reshape(c, -1))
+                gw += gc @ xd[i, :, r0:r1].reshape(c, -1).T
             gw = gw.reshape(o, len(taps), c).transpose(0, 2, 1)
         else:
             gx = None
             gw = np.zeros((o, k), dtype=g.dtype)
-            for (i0, i1, r0, r1), cols in _band_columns(xd, taps, ho, wo):
-                gband = gf[i0:i1, :, r0:r1].reshape(i1 - i0, o, -1)
-                gw += np.matmul(gband, cols.transpose(0, 2, 1)).sum(axis=0)
+            for (i, r0, r1), cols in _band_columns(xd, taps, ho, wo):
+                gw += gf[i, :, r0:r1].reshape(o, -1) @ cols.T
             gw = gw.reshape(o, c, len(taps))
         gws = [gw[:, :, slot].reshape(shape)
                for shape, slot in zip(w_shapes, slots)]

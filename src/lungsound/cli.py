@@ -22,8 +22,8 @@ import numpy as np
 from . import data, dsp
 from .augment import LabeledSpectrogram
 from .config import load_run_config
-from .errors import InvalidConfigError, LungsoundError
-from .evaluation import TASKS, evaluate_predictions
+from .errors import FormatError, InvalidConfigError, LungsoundError
+from .evaluation import SCORE_NAMES, TASKS, evaluate_predictions
 from .model import RespiratoryClassifier
 from .training import fit, load_checkpoint, predict, write_history_csv
 
@@ -172,6 +172,11 @@ def cmd_evaluate(args):
     cfg, fdir, index = _prepare(args, task.level)
     ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     model, _, _, _ = load_checkpoint(args.checkpoint)
+    n_model, n_task = model.config.n_classes, len(task.class_names)
+    if n_model != n_task:
+        raise InvalidConfigError(
+            f"{args.checkpoint}: the checkpoint predicts {n_model} classes, "
+            f"task {args.task} has {n_task}")
     eval_idx = val_idx if val_idx else train_idx
     truth, probs = predict(model, items, eval_idx, cfg.augment.crop_bins)
     report = evaluate_predictions(truth, probs, task)
@@ -234,12 +239,15 @@ def cmd_report(args):
     lines = [f"rendered {n_images} spectrogram images to {img_dir}", ""]
     for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
         if name.startswith("task_") and name.endswith(".json"):
-            with open(os.path.join(out_dir, name)) as fh:
-                rep = json.load(fh)
-            lines.append(
-                f"task {rep['task']}: SE={rep['SE']:.3f} SP={rep['SP']:.3f} "
-                f"AS={rep['AS']:.3f} HS={rep['HS']:.3f} Score={rep['Score']:.3f}"
-            )
+            path = os.path.join(out_dir, name)
+            with open(path) as fh:
+                try:
+                    rep = json.load(fh)
+                    values = " ".join(f"{s}={rep[s]:.3f}" for s in SCORE_NAMES)
+                    lines.append(f"task {rep['task']}: {values}")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise FormatError(
+                        f"{path}: not a score report ({exc!r})") from exc
     summary = os.path.join(out_dir, "summary.txt")
     with open(summary, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,6 +11,8 @@ from .errors import DataError, InvalidInputError
 
 EVENT_LABELS = ("N", "Rho", "W", "Str", "B", "CC", "FC")
 RECORD_LABELS = ("N", "CAS", "DAS", "CD", "PQ")
+# the five scores of a report, in the order the files list them
+SCORE_NAMES = ("SE", "SP", "AS", "HS", "Score")
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,18 @@ class ScoreReport:
     per_class_recall: tuple
     flags: tuple = field(default=())
 
+    def named_scores(self):
+        """{name: value} of the five scores, in `SCORE_NAMES` order."""
+        return dict(zip(SCORE_NAMES, (self.se, self.sp, self.as_score,
+                                      self.hs_score, self.score)))
+
     def to_json(self):
         return json.dumps(
             {
                 "task": self.task_id,
                 "classes": list(self.class_names),
                 "confusion_matrix": self.confusion_matrix.tolist(),
-                "SE": self.se,
-                "SP": self.sp,
-                "AS": self.as_score,
-                "HS": self.hs_score,
-                "Score": self.score,
+                **self.named_scores(),
                 "per_class_recall": list(self.per_class_recall),
                 "flags": list(self.flags),
             },

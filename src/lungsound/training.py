@@ -21,7 +21,7 @@ from .augment import balanced_oversample, center_crop, make_batch
 from .autodiff import Tensor
 from .errors import (FormatError, InvalidInputError, require_counts,
                      require_rates)
-from .evaluation import evaluate_predictions
+from .evaluation import SCORE_NAMES, evaluate_predictions
 from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
@@ -32,7 +32,7 @@ ADAM_EPS = 1e-8
 # samples per eval-mode forward pass
 EVAL_BATCH = 32
 
-HISTORY_COLUMNS = ("epoch", "split", "loss", "SE", "SP", "AS", "HS", "Score")
+HISTORY_COLUMNS = ("epoch", "split", "loss", *SCORE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -191,18 +191,8 @@ def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
         if (epoch + 1) % cfg.eval_every == 0 and val_idx:
             report = evaluate_model(model, dataset, val_idx, task,
                                     augment_config.crop_bins)
-            history.append(
-                {
-                    "epoch": epoch + 1,
-                    "split": "validation",
-                    "loss": epoch_loss,
-                    "SE": report.se,
-                    "SP": report.sp,
-                    "AS": report.as_score,
-                    "HS": report.hs_score,
-                    "Score": report.score,
-                }
-            )
+            history.append({"epoch": epoch + 1, "split": "validation",
+                            "loss": epoch_loss, **report.named_scores()})
             if report.score > best_score:
                 best_score, best_epoch = report.score, epoch + 1
                 evals_since_best = 0

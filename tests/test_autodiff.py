@@ -172,8 +172,9 @@ class TestConv2dBands:
 
     @staticmethod
     def budget(layout, n_taps, ho, wo, c_in=3):
-        """Band bytes for one band, one-row bands, three-row bands (the last
-        one ragged) or two whole samples per band (the last one ragged)."""
+        """Band bytes for one band per sample, one-row bands, three-row
+        bands (the last one ragged) or a budget that fits two whole samples,
+        which still gives one band per sample."""
         row = c_in * n_taps * wo * 8
         return {"one": ad._BAND_BYTES, "rows1": row, "rows3": 3 * row,
                 "samples2": 2 * ho * row}[layout]
@@ -220,10 +221,31 @@ class TestConv2dBands:
                                                       ho, rows):
         monkeypatch.setattr(ad, "_BAND_BYTES", rows * 10)
         covered = np.zeros((n, ho), dtype=int)
-        for i0, i1, r0, r1 in ad._bands(n, ho, 10):
-            covered[i0:i1, r0:r1] += 1
-            assert (i1 - i0) * (r1 - r0) <= max(rows, 1)
+        for i, r0, r1 in ad._bands(n, ho, 10):
+            # a band is a run of one sample's rows, never two samples
+            assert 0 <= i < n and 0 <= r0 < r1 <= ho
+            covered[i, r0:r1] += 1
+            assert r1 - r0 <= max(rows, 1)
         assert (covered == 1).all()
+
+    def test_columns_hold_one_sample(self, monkeypatch):
+        """A budget that fits several whole samples still gives a column
+        buffer of one sample's columns, filled once per sample."""
+        n, c, h, w = 4, 3, 7, 11
+        taps = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+        one_sample = c * len(taps) * h * w * 8
+        monkeypatch.setattr(ad, "_BAND_BYTES", 3 * one_sample)
+        src = np.random.default_rng(22).standard_normal((n, c, h, w))
+        seen = []
+        for band, cols in ad._band_columns(src, taps, h, w):
+            buf = cols
+            while buf.base is not None:
+                buf = buf.base
+            assert buf.nbytes <= one_sample
+            i, r0, r1 = band
+            assert cols.shape == (c * len(taps), (r1 - r0) * w)
+            seen.append(i)
+        assert seen == list(range(n))
 
     def test_grad_check_multi_band(self, monkeypatch):
         monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
@@ -279,8 +301,8 @@ class TestConv2dBands:
 
 class TestConv2dBackward:
     """The backward from output-gradient columns, with the band budget set
-    so that its bands over the input rows are one band, one-row bands,
-    three-row bands or two-sample bands, against the oracles in float64."""
+    so that its bands over the input rows are one band per sample, one-row
+    bands or three-row bands, against the oracles in float64."""
 
     # kernels, padding, number of taps in their union, input H×W; the
     # border cases have taps that lie wholly outside the input
@@ -299,8 +321,9 @@ class TestConv2dBackward:
     @classmethod
     def budget(cls, layout, n_taps, h, w):
         """Band bytes for the backward's bands over the h×w input's rows:
-        one band, one-row bands, three-row bands (the last one ragged) or
-        two whole samples per band (the last one ragged)."""
+        one band per sample, one-row bands, three-row bands (the last one
+        ragged) or a budget that fits two whole samples, which still gives
+        one band per sample."""
         row = cls.C_OUT * n_taps * w * 8
         return {"one": ad._BAND_BYTES, "rows1": row, "rows3": 3 * row,
                 "samples2": 2 * h * row}[layout]

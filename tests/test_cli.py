@@ -12,7 +12,7 @@ from lungsound.cli import main
 from lungsound.dsp import WaveletSpec, load_spectrogram
 from lungsound.errors import InvalidConfigError
 from lungsound.model import RespiratoryClassifier
-from lungsound.training import load_checkpoint
+from lungsound.training import Adam, load_checkpoint, save_checkpoint
 
 TINY_CONFIG = """
 seed = 0
@@ -334,6 +334,32 @@ class TestEvaluateCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def seven_class_checkpoint(workspace, tmp_path):
+        """A task-1-2 (7-class) checkpoint on the workspace's geometry."""
+        model = load_checkpoint(workspace["checkpoint"])[0]
+        config = replace(model.config, n_classes=7)
+        model = RespiratoryClassifier(config, seed=0)
+        path = str(tmp_path / "seven.lsck")
+        save_checkpoint(path, model, Adam(model.parameters()))
+        return path
+
+    @pytest.mark.parametrize("task, n_model, n_task", [("1-2", 2, 7),
+                                                       ("1-1", 7, 2)])
+    def test_checkpoint_of_another_task_fails_cleanly(
+            self, workspace, tmp_path, capsys, task, n_model, n_task):
+        ckpt = (workspace["checkpoint"] if n_model == 2
+                else self.seven_class_checkpoint(workspace, tmp_path))
+        out = _out_with_features(workspace, tmp_path)
+        code = main(["evaluate", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", task, "--checkpoint", ckpt])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ckpt in err and f"task {task}" in err
+        assert f"{n_model} classes" in err and f"has {n_task}" in err
+        assert not (out / "reports").exists()
+
 
 class TestReportCommand:
     def test_summary_and_images(self, workspace):
@@ -347,6 +373,33 @@ class TestReportCommand:
         blob = open(os.path.join(img_dir, images[0]), "rb").read()
         assert blob.startswith(b"P5\n48 48\n255\n")
         assert len(blob) == len(b"P5\n48 48\n255\n") + 48 * 48
+
+    def test_summary_line_lists_the_five_scores(self, workspace):
+        reports = os.path.join(workspace["out"], "reports")
+        with open(os.path.join(reports, "task_1-1.json")) as fh:
+            rep = json.load(fh)
+        summary = open(os.path.join(reports, "summary.txt")).read()
+        assert (f"task 1-1: SE={rep['SE']:.3f} SP={rep['SP']:.3f} "
+                f"AS={rep['AS']:.3f} HS={rep['HS']:.3f} "
+                f"Score={rep['Score']:.3f}") in summary.splitlines()
+
+    @pytest.mark.parametrize("mangle", [
+        lambda text: text[: len(text) // 2],  # truncated
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "HS"}),  # a score missing
+    ], ids=["truncated", "missing_key"])
+    def test_malformed_report_fails_cleanly(self, workspace, tmp_path, capsys,
+                                            mangle):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        with open(os.path.join(workspace["out"], "reports",
+                               "task_1-1.json")) as fh:
+            text = fh.read()
+        (reports / "task_1-1.json").write_text(mangle(text))
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(reports / "task_1-1.json") in err
 
 
 class TestErrorHandling:

@@ -10,7 +10,7 @@ behind it, so a graph is differentiated once. Constants take the dtype of
 the Tensor they meet. Only the primitives needed by the network are
 implemented: elementwise arithmetic, matmul, reductions, 2-d
 convolution (one node for a sum of parallel kernels), 2×2 pooling,
-normalizations, dropout and attention.
+normalizations, softmax and log-softmax, dropout and attention.
 """
 
 from __future__ import annotations
@@ -743,10 +743,36 @@ def residual_norm(x, lam):
 # -- stochastic / nonlinear ----------------------------------------------------
 
 
+def _shifted_exp(xd, axis):
+    """(z, exp z, Σ exp z) along `axis` for z = x − max x: no exp overflows."""
+    z = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return z, e, e.sum(axis=axis, keepdims=True)
+
+
 def softmax(x, axis=-1):
-    z = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = exp(z)
-    return e / tsum(e, axis=axis, keepdims=True)
+    """exp z / Σ exp z along `axis`, one node; backward p·(g − Σ g·p)."""
+    _, e, total = _shifted_exp(x.data, axis)
+    p = e / total
+
+    def backprop(g):
+        gp = g * p
+        gp -= p * gp.sum(axis=axis, keepdims=True)
+        return (gp,)
+
+    return _node(p, (x,), backprop)
+
+
+def log_softmax(x, axis=-1):
+    """z − log Σ exp z along `axis`, one node; backward g − softmax·Σg.
+    Finite wherever x is, so a loss on it needs no probability floor."""
+    z, _, total = _shifted_exp(x.data, axis)
+    out = z - np.log(total)
+
+    def backprop(g):
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+    return _node(out, (x,), backprop)
 
 
 def dropout(x, p, training, rng=None):

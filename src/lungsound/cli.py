@@ -169,14 +169,15 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     task = TASKS[args.task]
-    cfg, fdir, index = _prepare(args, task.level)
-    ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
+    # a missing or mismatched checkpoint fails before any extraction
     model, _, _, _ = load_checkpoint(args.checkpoint)
     n_model, n_task = model.config.n_classes, len(task.class_names)
     if n_model != n_task:
         raise InvalidConfigError(
             f"{args.checkpoint}: the checkpoint predicts {n_model} classes, "
             f"task {args.task} has {n_task}")
+    cfg, fdir, index = _prepare(args, task.level)
+    ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     eval_idx = val_idx if val_idx else train_idx
     truth, probs = predict(model, items, eval_idx, cfg.augment.crop_bins)
     report = evaluate_predictions(truth, probs, task)

@@ -3,8 +3,9 @@ multi-head attention pooling.
 
 Data flow: Doub-Inc block -> Inc-Res block (128ch) -> Inc-Res block (256ch)
 -> three global pooling maps -> per-map multi-head self-attention -> FC(512)
--> FC(n_classes) -> softmax. Every Avg/Max pool is 2x2 stride 2, so the
-spatial dims halve at each of the three blocks.
+-> FC(n_classes) logits; `training.predict` turns them into probabilities
+and `training.kl_loss` takes their log-softmax. Every Avg/Max pool is 2x2
+stride 2, so the spatial dims halve at each of the three blocks.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def pooling_maps(x):
 
 class AttentionHead(Module):
     """Attend each pooled map over its leading axis, mean-pool, concatenate,
-    and classify."""
+    and classify into logits."""
 
     def __init__(self, t_feat, c_feat, config, rng, dtype):
         heads, key_dim = config.attn_heads, config.attn_key_dim
@@ -302,7 +303,7 @@ class AttentionHead(Module):
         ]
         h = ad.relu(self.fc1(ad.concat(embeds, axis=-1)))
         h = ad.dropout(h, self.drop, training, rng)
-        return ad.softmax(self.fc2(h), axis=-1)
+        return self.fc2(h)
 
 
 class RespiratoryClassifier(Module):
@@ -328,7 +329,7 @@ class RespiratoryClassifier(Module):
         self.head = AttentionHead(t_out, c2, config, rng, dtype)
 
     def forward(self, batch, training=False, rng=None):
-        """batch: N×1×F×T array or Tensor -> N×n_classes probabilities."""
+        """batch: N×1×F×T array or Tensor -> N×n_classes logits."""
         if isinstance(batch, Tensor):
             x = batch
         else:

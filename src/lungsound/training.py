@@ -1,8 +1,8 @@
 """KL-divergence training with L2 regularization, plus checkpointing.
 
-Loss: sum_n y_n·log(y_n / yhat_n) + (lambda/2)·||theta||^2 where theta ranges
-over convolution, dense and attention weights (not biases or norm
-parameters).
+Loss: sum_n y_n·(log y_n − log_softmax(z)_n) + (lambda/2)·||theta||^2 over
+the model's logits z, where theta ranges over convolution, dense and
+attention weights (not biases or norm parameters).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
 CHECKPOINT_VERSION = 5
-PRED_FLOOR = 1e-8
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 # samples per eval-mode forward pass
@@ -62,19 +61,21 @@ def regularized_parameters(model):
     return {name: p for name, p in model.parameters().items() if p.ndim >= 2}
 
 
-def kl_loss(y, y_hat, params=(), l2_lambda=0.0):
-    """Eq-style objective: KL(y || y_hat) summed over the batch plus an L2
-    penalty. `y` is a constant probability matrix; `y_hat` a Tensor."""
+def kl_loss(y, logits, params=(), l2_lambda=0.0):
+    """Eq-style objective: KL(y || softmax(logits)) summed over the batch
+    plus an L2 penalty. `y` is a constant probability matrix; `logits` a
+    Tensor of the same shape. The log-probabilities are finite wherever the
+    logits are, so no floor is needed and every sample has a gradient."""
     y = np.asarray(y, dtype=np.float64)
     if np.any(y < 0):
         raise InvalidInputError("labels must be nonnegative")
-    y_hat = y_hat if isinstance(y_hat, Tensor) else Tensor(np.asarray(y_hat))
-    if y.shape != y_hat.shape:
+    logits = logits if isinstance(logits, Tensor) else Tensor(
+        np.asarray(logits))
+    if y.shape != logits.shape:
         raise InvalidInputError("label and prediction shapes differ")
     mask = y > 0
     y_log_y = float(np.sum(y[mask] * np.log(y[mask])))  # 0·log 0 -> 0
-    clamped = ad.clip_min(y_hat, PRED_FLOOR)
-    cross = ad.tsum(ad.log(clamped) * (y * mask))
+    cross = ad.tsum(ad.log_softmax(logits, axis=-1) * y)
     loss = y_log_y - cross
     for p in params:
         loss = loss + ad.tsum(p * p) * (l2_lambda / 2.0)
@@ -110,9 +111,9 @@ def train_step(model, batch, labels, optimizer, l2_lambda):
     """One forward/backward/update; returns the pre-update loss."""
     model.zero_grad()
     rng = getattr(model, "_dropout_rng", None)
-    probs = model.forward(batch, training=True, rng=rng)
+    logits = model.forward(batch, training=True, rng=rng)
     reg = regularized_parameters(model)
-    loss = kl_loss(labels, probs, reg.values(), l2_lambda)
+    loss = kl_loss(labels, logits, reg.values(), l2_lambda)
     value = loss.item()
     if not np.isfinite(value):
         raise InvalidInputError("non-finite training loss")
@@ -147,7 +148,7 @@ def predict(model, dataset, indices, crop_bins):
         for start in range(0, len(indices), EVAL_BATCH):
             chunk = indices[start : start + EVAL_BATCH]
             batch, truth = _stack_eval(dataset, chunk, crop_bins)
-            probs.append(model.forward(batch, training=False).data)
+            probs.append(ad.softmax(model.forward(batch, training=False)).data)
             truths.append(truth)
     return np.concatenate(truths), np.concatenate(probs)
 

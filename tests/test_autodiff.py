@@ -662,6 +662,21 @@ class TestActivations:
         assert np.all(out >= 0)
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_is_the_shifted_exp_ratio(self, dtype):
+        x = np.random.default_rng(1).standard_normal((5, 7)).astype(dtype) * 9
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        out = ad.softmax(Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+    def test_log_softmax_finite_on_extreme_inputs(self):
+        x = np.array([[1e4, -1e4, 0.0], [300.0, 300.0, -300.0]])
+        out = ad.log_softmax(Tensor(x), axis=-1).data
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out[0], [0.0, -2e4, -1e4])
+        assert np.allclose(np.exp(out).sum(axis=-1), 1.0)
+
     def test_dropout_p0_identity(self):
         x = Tensor(np.ones((4, 4)))
         assert ad.dropout(x, 0.0, True, np.random.default_rng(0)) is x
@@ -934,6 +949,19 @@ class TestGradCheck:
                 fn, [(1, 3, 4), (4, hk), (4, hk), (4, hk), (hk, 4)], seed=8
             )
             assert err < 1e-5, heads
+
+    @pytest.mark.parametrize("op", ["softmax", "log_softmax"])
+    def test_softmax_nodes(self, op):
+        """Criterion 3's tolerance. The second row's logits lie at ±1e4:
+        the max shift keeps every output finite, and the entries at +1e4
+        keep nonzero gradients."""
+        fn = getattr(ad, op)
+        shift = Tensor(np.array([[0.0] * 4, [1e4, 1e4, -1e4, 1e4]]))
+        coef = Tensor(np.random.default_rng(62).standard_normal((2, 4)))
+        assert np.all(np.isfinite(fn(shift, axis=-1).data))
+        err = grad_check(lambda a: ad.tsum(coef * fn(a + shift, axis=-1)),
+                         [(2, 4)], seed=10)
+        assert err < 1e-4
 
     def test_softmax_kl_composite(self):
         y = np.array([[0.2, 0.5, 0.3], [0.7, 0.1, 0.2]])

@@ -326,13 +326,18 @@ class TestEvaluateCommand:
         out = _out_with_features(workspace, tmp_path)
         self.evaluate_train_only(workspace, tmp_path, capsys, out)
 
-    def test_missing_checkpoint_fails_cleanly(self, workspace, capsys):
+    def test_missing_checkpoint_fails_cleanly(self, workspace, tmp_path,
+                                              capsys):
+        # on a fresh out dir: the checkpoint is read before any spectrogram
+        # is extracted
+        out = tmp_path / "fresh"
         code = main(["evaluate", "--manifest", workspace["manifest"],
-                     "--config", workspace["config"], "--out",
-                     workspace["out"], "--task", "1-1",
-                     "--checkpoint", "/nonexistent.lsck"])
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1", "--checkpoint",
+                     str(tmp_path / "nonexistent.lsck")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert list(out.rglob("*.lssg")) == []
 
     @staticmethod
     def seven_class_checkpoint(workspace, tmp_path):

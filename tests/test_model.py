@@ -123,7 +123,7 @@ class TestForward:
     def test_output_rows_are_distributions(self):
         model = md.RespiratoryClassifier(tiny_config(), seed=0)
         x = np.random.default_rng(0).standard_normal((3, 1, 16, 32))
-        out = model(x).data
+        out = ad.softmax(model(x)).data
         assert out.shape == (3, 4)
         assert np.all(out >= 0)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-5)
@@ -268,10 +268,10 @@ class TestEndToEndGradient:
 
         def loss_value():
             with ad.no_grad():
-                out = model(x).data
+                out = ad.softmax(model(x)).data
             return -float(np.sum(y * np.log(out + 1e-12)))
 
-        out = model(x)
+        out = ad.softmax(model(x))
         loss = -ad.tsum(Tensor(y) * ad.log(out + 1e-12))
         model.zero_grad()
         loss.backward()

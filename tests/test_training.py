@@ -42,34 +42,56 @@ def toy_dataset(n_classes=3, per_class=4, f=16, t=24, seed=0):
 
 
 class TestKLLoss:
+    """`kl_loss` takes logits: the log of a probability matrix is a logit
+    matrix whose softmax is that matrix."""
+
     def test_zero_when_prediction_matches_labels(self):
         y = np.array([[0.25, 0.75], [0.6, 0.4]])
-        assert tr.kl_loss(y, Tensor(y.copy())).item() == pytest.approx(0.0)
+        assert tr.kl_loss(y, Tensor(np.log(y))).item() == pytest.approx(0.0)
 
     def test_one_hot_against_uniform_is_ln2(self):
         y = np.array([[1.0, 0.0]])
-        y_hat = Tensor(np.array([[0.5, 0.5]]))
-        assert tr.kl_loss(y, y_hat).item() == pytest.approx(np.log(2.0))
+        logits = Tensor(np.log(np.array([[0.5, 0.5]])))
+        assert tr.kl_loss(y, logits).item() == pytest.approx(np.log(2.0))
 
     def test_zero_label_entries_contribute_nothing(self):
         # 0·log 0 convention: a zero label coordinate is ignored even when
         # the prediction there is tiny
         y = np.array([[1.0, 0.0]])
-        y_hat = Tensor(np.array([[1.0, 1e-300]]))
-        assert np.isfinite(tr.kl_loss(y, y_hat).item())
-        assert tr.kl_loss(y, y_hat).item() == pytest.approx(0.0)
+        logits = Tensor(np.log(np.array([[1.0, 1e-300]])))
+        assert np.isfinite(tr.kl_loss(y, logits).item())
+        assert tr.kl_loss(y, logits).item() == pytest.approx(0.0)
 
     def test_sums_over_batch_rows(self):
         y = np.array([[1.0, 0.0], [1.0, 0.0]])
-        y_hat = Tensor(np.array([[0.5, 0.5], [0.25, 0.75]]))
+        logits = Tensor(np.log(np.array([[0.5, 0.5], [0.25, 0.75]])))
         expected = np.log(2.0) + np.log(4.0)
-        assert tr.kl_loss(y, y_hat).item() == pytest.approx(expected)
+        assert tr.kl_loss(y, logits).item() == pytest.approx(expected)
 
     def test_prediction_floor_keeps_loss_finite(self):
+        # no floor: the true class's log-probability is its logit minus the
+        # row's log-sum-exp, finite however far below the maximum it lies
         y = np.array([[1.0, 0.0]])
-        y_hat = Tensor(np.array([[0.0, 1.0]]))
-        loss = tr.kl_loss(y, y_hat).item()
-        assert loss == pytest.approx(-np.log(tr.PRED_FLOOR))
+        logits = Tensor(np.array([[-1e4, 0.0]]))
+        loss = tr.kl_loss(y, logits).item()
+        assert np.isfinite(loss)
+        assert loss == pytest.approx(1e4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_sample_gets_logit_gradient(self, dtype):
+        """A true class 40 below its row's maximum (p ≈ 4e-18, under the
+        old 1e-8 floor) still gets the gradient softmax(z) − y, whose
+        true-class entry is ≈ −1."""
+        y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        z = np.array([[0.0, -40.0, -2.0], [0.5, -0.5, 0.0]], dtype=dtype)
+        logits = Tensor(z.copy(), requires_grad=True)
+        tr.kl_loss(y, logits).backward()
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        assert p[0, 1] < 1e-17
+        assert logits.grad.dtype == dtype
+        assert np.allclose(logits.grad, p - y, rtol=1e-5, atol=1e-7)
+        assert logits.grad[0, 1] == pytest.approx(-1.0, abs=1e-6)
 
     def test_l2_term_value_and_gradient(self):
         y = np.array([[0.5, 0.5]])
@@ -216,9 +238,11 @@ class TestDtypeDiscipline:
 class TestTapeSize:
     def test_one_training_step_records_239_nodes(self, monkeypatch):
         """One training forward plus `kl_loss` (dropout, L2) at the
-        criterion-6 geometry: each Inc block's convolution, 2x2 pooling,
-        batch norm and residual norm is one tape node (376 when they were
-        composites of per-branch and per-operation nodes)."""
+        criterion-6 geometry records 225 tape nodes: each Inc block's
+        convolution, 2x2 pooling, batch norm and residual norm, each
+        attention softmax and the loss's log-softmax is one node. The test
+        id keeps the 239 counted before softmax and the loss's log became
+        single nodes."""
         recorded = []
         node = ad._node
 
@@ -235,11 +259,11 @@ class TestTapeSize:
         )
         model = RespiratoryClassifier(cfg, seed=0)
         batch = np.random.default_rng(1).standard_normal((7, 1, 118, 118))
-        probs = model.forward(batch, training=True,
-                              rng=np.random.default_rng(0))
-        tr.kl_loss(np.eye(7), probs,
+        logits = model.forward(batch, training=True,
+                               rng=np.random.default_rng(0))
+        tr.kl_loss(np.eye(7), logits,
                    tr.regularized_parameters(model).values(), 1e-4)
-        assert sum(recorded) == 239
+        assert sum(recorded) == 225
 
 
 def closure_contents(fn):
@@ -277,9 +301,9 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         )
         model = RespiratoryClassifier(cfg, seed=0)
         batch = np.random.default_rng(1).standard_normal((7, 1, 118, 118))
-        probs = model.forward(batch, training=True,
-                              rng=np.random.default_rng(0))
-        return tr.kl_loss(np.eye(7), probs,
+        logits = model.forward(batch, training=True,
+                               rng=np.random.default_rng(0))
+        return tr.kl_loss(np.eye(7), logits,
                           tr.regularized_parameters(model).values(), 1e-4)
 
     def test_no_backward_closure_holds_a_tensor(self):
@@ -318,8 +342,8 @@ class TestTapeHoldsOnlyWhatBackwardReads:
 
 class TestNonFiniteInput:
     def test_nan_reaches_the_loss_guard(self):
-        """A NaN in the batch survives ReLU and the prediction floor, so the
-        step stops before any parameter moves."""
+        """A NaN in the batch survives ReLU and the log-softmax's max
+        shift, so the step stops before any parameter moves."""
         model = tiny_model()
         before = {k: p.data.copy() for k, p in model.parameters().items()}
         batch = np.random.default_rng(0).standard_normal((2, 1, 12, 20))

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
-from scipy import signal
 
 from .errors import FormatError, InvalidConfigError, InvalidInputError
+
+# scipy is imported inside resample, bandpass and cwt, its only users here:
+# loading scipy.signal and scipy.fft takes ~0.85 s and ~75 MB, which a
+# process that trains, scores or reports on cached spectrograms never needs
 
 LOG_EPS = 1e-10
 FREQ_LO_HZ = 60.0
@@ -148,6 +150,8 @@ def resample(clip, target_rate):
         raise InvalidInputError("target_rate must be positive")
     if target_rate == clip.sample_rate:
         return clip
+    from scipy import signal
+
     ratio = Fraction(int(target_rate), int(clip.sample_rate))
     out = signal.resample_poly(
         clip.samples, ratio.numerator, ratio.denominator, window=("kaiser", 8.0)
@@ -166,6 +170,8 @@ def bandpass(clip, lo=FREQ_LO_HZ, hi=FREQ_HI_HZ):
         )
     # a cutoff exactly at Nyquist is legal input; design just inside the edge
     hi = min(hi, nyquist * (1.0 - 1e-6))
+    from scipy import signal
+
     sos = signal.butter(2, [lo, hi], btype="bandpass", fs=clip.sample_rate,
                         output="sos")
     return AudioClip(samples=signal.sosfilt(sos, clip.samples),
@@ -234,6 +240,8 @@ def cwt(clip, spec, scales, columns=None):
     """FFT-based CWT; row i is the cross-correlation of the signal with the
     conjugate wavelet at scales[i]. Output is complex, len(scales)×N, or
     len(scales)×len(columns) holding only those sample columns."""
+    import scipy.fft
+
     x = clip.samples
     if x.size < 2:
         raise InvalidInputError("cwt needs at least two samples")

@@ -2,11 +2,14 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lungsound
 from lungsound import cli, data
 from lungsound.cli import main
 from lungsound.dsp import WaveletSpec, load_spectrogram
@@ -405,6 +408,47 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(reports / "task_1-1.json") in err
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from lungsound.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestCachedFeaturesNeedOnlyNumpy:
+    def test_train_evaluate_report_without_scipy(self, workspace, tmp_path):
+        """On cached features, train, evaluate and report run in a process
+        where scipy cannot be imported, and write what they write with it."""
+        out = _out_with_features(workspace, tmp_path)
+        ckpt = str(out / "checkpoints" / "task_1-1.lsck")
+        base = ["--manifest", workspace["manifest"],
+                "--config", workspace["config"], "--out", str(out),
+                "--task", "1-1"]
+        commands = [["train"] + base,
+                    ["evaluate"] + base + ["--checkpoint", ckpt],
+                    ["report", "--out", str(out)]]
+        src = os.path.dirname(os.path.dirname(lungsound.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_RUN, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == [0, 0, 0]
+        for name in ["checkpoints/task_1-1.lsck", "history_task_1-1.csv",
+                     "reports/task_1-1.json",
+                     "reports/task_1-1_predictions.csv"]:
+            with open(os.path.join(workspace["out"], name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+        # the summary's first line names the out dir
+        summary = (out / "reports" / "summary.txt").read_text().splitlines()
+        with open(os.path.join(workspace["out"], "reports",
+                               "summary.txt")) as fh:
+            expected = fh.read().splitlines()
+        assert summary[0].startswith("rendered 42 spectrogram images")
+        assert summary[1:] == expected[1:]
 
 
 class TestErrorHandling:

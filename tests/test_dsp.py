@@ -1,9 +1,14 @@
+import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import signal
 
+import lungsound
 from lungsound import dsp
 from lungsound.errors import FormatError, InvalidConfigError, InvalidInputError
 from oracles import cwt_dense, cwt_direct
@@ -330,6 +335,40 @@ class TestPipeline:
         c = dsp.bandpass(clip)
         full = dsp.log_magnitude(dsp.cwt(c, w, grid))
         assert fast.values.tobytes() == full.values.tobytes()
+
+
+SCIPY_ON_FIRST_CALL = """
+import importlib, json, pkgutil, sys
+import numpy as np
+import lungsound
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for info in pkgutil.iter_modules(lungsound.__path__):
+    importlib.import_module("lungsound." + info.name)
+after_import = scipy_modules()
+from lungsound import dsp
+clip = dsp.AudioClip(samples=np.sin(0.3 * np.arange(800)), sample_rate=8000)
+dsp.extract_spectrogram(clip, dsp.WaveletSpec("bump"), 8, 16, 0.2)
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
+class TestScipyLoadsOnFirstCall:
+    def test_only_the_front_end_imports_scipy(self):
+        """A fresh interpreter that imports every lungsound module has no
+        scipy module loaded; one front-end call loads scipy.signal and
+        scipy.fft."""
+        src = os.path.dirname(os.path.dirname(lungsound.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_CALL],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        after_import, after_call = json.loads(run.stdout.splitlines()[-1])
+        assert after_import == []
+        assert {"scipy.signal", "scipy.fft"} <= set(after_call)
 
 
 class TestCacheFormat:

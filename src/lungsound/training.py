@@ -108,7 +108,9 @@ class Adam:
 
 
 def train_step(model, batch, labels, optimizer, l2_lambda):
-    """One forward/backward/update; returns the pre-update loss."""
+    """One forward/backward/update; returns the pre-update loss. A
+    non-finite loss or gradient raises before any parameter or Adam moment
+    moves."""
     model.zero_grad()
     rng = getattr(model, "_dropout_rng", None)
     logits = model.forward(batch, training=True, rng=rng)
@@ -118,6 +120,9 @@ def train_step(model, batch, labels, optimizer, l2_lambda):
     if not np.isfinite(value):
         raise InvalidInputError("non-finite training loss")
     loss.backward()
+    for name, p in model.parameters().items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise InvalidInputError(f"non-finite gradient in {name}")
     optimizer.step()
     return value
 

@@ -354,6 +354,35 @@ class TestNonFiniteInput:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data, before[name]), name
 
+    def test_nonfinite_gradient_named_before_adam_moves(self, monkeypatch):
+        """A finite loss whose backward leaves a NaN in one gradient stops
+        the step with that parameter's name; no parameter, Adam moment or
+        step count moves."""
+        model = tiny_model()
+        batch = np.random.default_rng(0).standard_normal((2, 1, 12, 20))
+        opt = tr.Adam(model.parameters(), lr=1e-3)
+        tr.train_step(model, batch, np.eye(3)[:2], opt, 1e-4)
+        before = {k: p.data.copy() for k, p in model.parameters().items()}
+        moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in opt.m}
+        target = sorted(model.parameters())[len(model.parameters()) // 2]
+        backward = Tensor.backward
+
+        def poisoned(self, *args, **kwargs):
+            backward(self, *args, **kwargs)
+            param = model.parameters()[target]
+            param.grad = param.grad.copy()
+            param.grad.flat[0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(InvalidInputError,
+                           match=f"non-finite gradient in {target}$"):
+            tr.train_step(model, batch, np.eye(3)[:2], opt, 1e-4)
+        assert opt.step_count == 1
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, before[name]), name
+            assert np.array_equal(opt.m[name], moments[name][0]), name
+            assert np.array_equal(opt.v[name], moments[name][1]), name
+
 
 class TestFit:
     def make_dataset(self):

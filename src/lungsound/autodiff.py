@@ -391,12 +391,6 @@ def dense(x, w, bias):
 # -- convolution and pooling ---------------------------------------------------
 
 
-def _same_pad(k):
-    # extra padding goes on the high-index side for even kernels
-    lo = (k - 1) // 2
-    return lo, k - 1 - lo
-
-
 # bytes of im2col columns that a convolution builds at a time: a larger
 # input is run one band of rows at a time, forward and backward
 _BAND_BYTES = 32 << 20
@@ -457,29 +451,29 @@ def _band_columns(src, taps, rows, width):
         yield band, cols.reshape(k, -1)
 
 
-def conv2d(x, w, bias, padding="same"):
-    """2-d cross-correlation, stride 1, over N×C×F×T input.
+def conv2d(x, w, bias):
+    """2-d cross-correlation, stride 1, "same" padding, over N×C×F×T input:
+    the output keeps the input's spatial dims.
 
-    w is O×C×Kf×Kt; bias is O, or None for none. "same" preserves the
-    spatial dims.
+    w is O×C×Kf×Kt; bias is O, or None for none.
     """
-    return conv2d_sum(x, [w], [] if bias is None else [bias], padding)
+    return conv2d_sum(x, [w], [] if bias is None else [bias])
 
 
-def conv2d_sum(x, weights, biases, padding="same"):
-    """Sum of stride-1 cross-correlations of x with each O×C×Kf×Kt kernel
-    in `weights`, plus each O-vector in `biases`, as one node.
+def conv2d_sum(x, weights, biases):
+    """Sum of stride-1, "same"-padded cross-correlations of x with each
+    O×C×Kf×Kt kernel in `weights`, plus each O-vector in `biases`, as one
+    node; the output keeps x's spatial dims.
 
-    Under "same" padding the kernels' taps sit at offsets from the output
-    position; an im2col over the union of those offsets and a GEMM against
-    the per-offset sum of the kernels' weights gives the sum of the
-    separate convolutions. Each kernel's gradient is its own taps' slice of
+    The kernels' taps sit at offsets from the output position; an im2col
+    over the union of those offsets and a GEMM against the per-offset sum
+    of the kernels' weights gives the sum of the separate convolutions. Each kernel's gradient is its own taps' slice of
     the merged weight gradient. All columns are built one band at a time by
     `_band_columns`, a band being a run of one sample's rows, so every GEMM
     is 2-d and no node keeps any columns for its backward. The same
     function writes the zero border: a tap that falls outside the array it
     reads gets zeros, so no padded copy of the input or of the gradient is
-    made. "valid" taps never leave the input.
+    made.
 
     The backward lays out im2col columns of the output gradient over the
     input's positions, one band of a sample's input rows at a time: entry
@@ -492,29 +486,22 @@ def conv2d_sum(x, weights, biases, padding="same"):
     flushes subnormal output gradients to zero once per node; the bias
     gradient sums them as they are.
     """
-    if x.ndim != 4 or not weights or any(w.ndim != 4 for w in weights):
-        raise InvalidInputError("conv2d expects 4-d input and kernel")
-    if padding not in ("same", "valid"):
-        raise InvalidConfigError(f"unknown padding {padding!r}")
+    if (x.ndim != 4 or 0 in x.shape or not weights
+            or any(w.ndim != 4 for w in weights)):
+        raise InvalidInputError("conv2d expects nonempty 4-d input and kernel")
     n, c, h, wd = x.shape
     o = weights[0].shape[0]
-    offsets, out_dims = [], set()
+    offsets = []
     for w in weights:
         ow, cw, kh, kw = w.shape
         if cw != c:
             raise InvalidInputError(f"channel mismatch: input {c}, kernel {cw}")
         if ow != o:
             raise InvalidInputError(f"kernels disagree on outputs: {o} vs {ow}")
-        ph, pw = ((_same_pad(kh), _same_pad(kw)) if padding == "same"
-                  else ((0, 0), (0, 0)))
-        out_dims.add((h + sum(ph) - kh + 1, wd + sum(pw) - kw + 1))
-        offsets.append([(i - ph[0], j - pw[0])
+        # an even kernel's extra tap lies on the high-index side
+        top, left = (kh - 1) // 2, (kw - 1) // 2
+        offsets.append([(i - top, j - left)
                         for i in range(kh) for j in range(kw)])
-    if len(out_dims) != 1:
-        raise InvalidInputError(f"kernels give different output sizes {out_dims}")
-    ho, wo = out_dims.pop()
-    if ho < 1 or wo < 1:
-        raise InvalidInputError("kernel larger than padded input")
 
     # row-major union of the taps; a lone kernel keeps its own tap order
     taps = sorted(set().union(*offsets))
@@ -528,8 +515,8 @@ def conv2d_sum(x, weights, biases, padding="same"):
     for w, slot in zip(weights, slots):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
     w2 = merged.reshape(o, k)
-    out = np.empty((n, o, ho, wo), dtype=np.result_type(w2.dtype, xd.dtype))
-    for (i, r0, r1), cols in _band_columns(xd, taps, ho, wo):
+    out = np.empty((n, o, h, wd), dtype=np.result_type(w2.dtype, xd.dtype))
+    for (i, r0, r1), cols in _band_columns(xd, taps, h, wd):
         # a view: a band's rows of one channel are contiguous in `out`
         np.matmul(w2, cols, out=out[i, :, r0:r1].reshape(o, -1))
     if biases:
@@ -550,7 +537,7 @@ def conv2d_sum(x, weights, biases, padding="same"):
         else:
             gx = None
             gw = np.zeros((o, k), dtype=g.dtype)
-            for (i, r0, r1), cols in _band_columns(xd, taps, ho, wo):
+            for (i, r0, r1), cols in _band_columns(xd, taps, h, wd):
                 gw += gf[i, :, r0:r1].reshape(o, -1) @ cols.T
             gw = gw.reshape(o, c, len(taps))
         gws = [gw[:, :, slot].reshape(shape)

@@ -2,10 +2,11 @@
 
 Spectrogram caches live under OUT/features/<family>_<FxT>_<level>/. Every
 command that needs features (extract, train, evaluate) builds the feature
-index from the manifest it is given, reusing each cached spectrogram and
-computing any that is missing, so a run's samples and splits always come
-from its manifest and the commands also work standalone. The index.json
-written next to the caches is a record for readers; nothing reads it back.
+index from the manifest it is given, reusing each cached spectrogram that
+loads at the run's size and computing any other, so a run's samples and
+splits always come from its manifest and the commands also work standalone.
+The index.json written next to the caches is a record for readers; nothing
+reads it back. Run settings come only from the --config file.
 """
 
 from __future__ import annotations
@@ -52,9 +53,19 @@ def _clips(manifest, entry, ann, level):
     return [clip for clip, _ in data.segment_events(audio, ann)]
 
 
+def _reusable(cache, size):
+    """Whether `cache` is a spectrogram file that this version loads and
+    that holds `size`."""
+    try:
+        return dsp.load_spectrogram(cache).values.shape == tuple(size)
+    except (FileNotFoundError, FormatError):
+        return False
+
+
 def extract_features(manifest, wavelet, size, level, feature_dir):
     """Compute (or reuse) one cache file per sample; returns the index.
-    Each recording and its annotation are read at most once."""
+    A cache is recomputed and overwritten unless `_reusable`. Each
+    recording and its annotation are read at most once."""
     if level not in _LEVEL_SECONDS:
         raise InvalidConfigError(
             f"unknown extraction level {level!r}; expected one of "
@@ -67,7 +78,7 @@ def extract_features(manifest, wavelet, size, level, feature_dir):
         clips = None  # decoded when the first missing cache needs it
         for k, (sample_id, raw_label) in enumerate(_sample_ids(ann, level)):
             cache = os.path.join(feature_dir, f"{sample_id}.lssg")
-            if not os.path.exists(cache):
+            if not _reusable(cache, size):
                 if clips is None:
                     clips = _clips(manifest, entry, ann, level)
                 spec = dsp.extract_spectrogram(clips[k], wavelet, size[0],
@@ -98,23 +109,25 @@ def _dataset_for_task(index, feature_dir, task):
     return ids, [it for _, it in items], train_idx, val_idx
 
 
-def _prepare(args, level):
-    """(run config, feature directory, feature index) of the manifest's
-    samples at `level`. The config is the command's --config file, optional
-    for extract, with its command-line overrides applied."""
-    cfg = load_run_config(
-        path=args.config,
-        text="" if args.config is None else None,
-        overrides={
-            "seed": getattr(args, "seed", None),
-            "wavelet.family": getattr(args, "wavelet", None),
-            "spectrogram.size": getattr(args, "size", None),
-        },
-    )
+def _run_config(args):
+    """The command's --config file; the defaults when extract has none."""
+    return load_run_config(args.config,
+                           text="" if args.config is None else None)
+
+
+def _input_dims(cfg):
+    """The model's input dims: the spectrogram size less the crop."""
+    crop = cfg.augment.crop_bins
+    return cfg.size[0] - crop, cfg.size[1] - crop
+
+
+def _features(args, cfg, level):
+    """(feature directory, feature index) of the manifest's samples at
+    `level`."""
     manifest = data.DatasetManifest.load(args.manifest)
     fdir = _feature_dir(args.out, cfg.wavelet.family, cfg.size, level)
-    return cfg, fdir, extract_features(manifest, cfg.wavelet, cfg.size,
-                                       level, fdir)
+    return fdir, extract_features(manifest, cfg.wavelet, cfg.size, level,
+                                  fdir)
 
 
 def cmd_synth(args):
@@ -128,22 +141,21 @@ def cmd_synth(args):
 
 
 def cmd_extract(args):
+    cfg = _run_config(args)
     for level in args.levels.split(","):
-        _, fdir, index = _prepare(args, level)
+        fdir, index = _features(args, cfg, level)
         print(f"{len(index['samples'])} {level} spectrograms in {fdir}")
     return 0
 
 
 def cmd_train(args):
     task = TASKS[args.task]
-    cfg, fdir, index = _prepare(args, task.level)
+    cfg = _run_config(args)
+    # a geometry the model cannot take fails before any extraction
+    model_config = replace(cfg.model, input_dims=_input_dims(cfg),
+                           n_classes=len(task.class_names))
+    fdir, index = _features(args, cfg, task.level)
     _, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
-    crop = cfg.augment.crop_bins
-    model_config = replace(
-        cfg.model,
-        input_dims=(cfg.size[0] - crop, cfg.size[1] - crop),
-        n_classes=len(task.class_names),
-    )
     model = RespiratoryClassifier(model_config, seed=cfg.seed)
     os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
     ckpt = args.checkpoint or os.path.join(
@@ -176,7 +188,14 @@ def cmd_evaluate(args):
         raise InvalidConfigError(
             f"{args.checkpoint}: the checkpoint predicts {n_model} classes, "
             f"task {args.task} has {n_task}")
-    cfg, fdir, index = _prepare(args, task.level)
+    cfg = _run_config(args)
+    have, want = model.config.input_dims, _input_dims(cfg)
+    if have != want:
+        raise InvalidConfigError(
+            f"{args.checkpoint}: the checkpoint takes {have[0]}x{have[1]} "
+            f"inputs; spectrogram.size less augment.crop_bins is "
+            f"{want[0]}x{want[1]}")
+    fdir, index = _features(args, cfg, task.level)
     ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
     eval_idx = val_idx if val_idx else train_idx
     truth, probs = predict(model, items, eval_idx, cfg.augment.crop_bins)
@@ -275,8 +294,6 @@ def build_parser():
     p = sub.add_parser("extract", help="write spectrogram caches")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config")
-    p.add_argument("--wavelet", choices=("amor", "bump", "morse"))
-    p.add_argument("--size", help="FxT, e.g. 128x512")
     p.add_argument("--levels", default="event",
                    help="comma list of event,record")
     p.add_argument("--out", required=True)
@@ -286,7 +303,6 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--task", required=True, choices=sorted(TASKS))
-    p.add_argument("--seed", type=int)
     p.add_argument("--checkpoint")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

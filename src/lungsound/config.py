@@ -113,13 +113,12 @@ def config_keys():
     return keys
 
 
-def load_run_config(path=None, text=None, overrides=None):
+def load_run_config(path=None, text=None):
+    """The run config of the file at `path`, or of `text`."""
     if text is None:
         with open(path) as fh:
             text = fh.read()
     kv = parse_kv(text)
-    if overrides:
-        kv.update({k: str(v) for k, v in overrides.items() if v is not None})
 
     defaults = config_keys()
     top, sections = {}, {section: {} for section in SECTIONS}

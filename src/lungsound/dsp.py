@@ -63,10 +63,6 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise InvalidInputError("sample_rate must be positive")
 
-    @property
-    def duration(self):
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class WaveletSpec:
@@ -396,26 +392,23 @@ def log_magnitude(coeffs):
 def resize(spec, f_out, t_out, native_frames=None):
     """Bilinear resize with corner alignment; exact copy at the native size.
 
-    With `native_frames`, `spec` holds only the columns
-    `resize_columns(native_frames, t_out)` of a scalogram that many frames
-    wide, which are all the time axis reads."""
+    With `native_frames`, `spec` holds only the 2·t_out columns that the
+    time axis reads of a scalogram that many frames wide: the columns i0
+    of `_taps(native_frames, t_out)`, then the columns i0 + 1."""
     if f_out < 2 or t_out < 2:
         raise InvalidInputError("resize targets must be >= 2")
     v = spec.values.astype(np.float64)
     v = _interp_axis(v, f_out, axis=0)
-    v = _interp_axis(v, t_out, axis=1, n_in=native_frames)
+    if native_frames is None:
+        v = _interp_axis(v, t_out, axis=1)
+    else:
+        if v.shape[1] != 2 * t_out:
+            raise InvalidInputError(
+                f"expected the {2 * t_out} columns that resizing "
+                f"{native_frames} to {t_out} reads, got {v.shape[1]}")
+        _, frac = _taps(native_frames, t_out)
+        v = v[:, :t_out] * (1.0 - frac) + v[:, t_out:] * frac
     return Spectrogram(values=v)
-
-
-def resize_columns(n_in, n_out):
-    """Ascending indices of the n_in native columns that resizing the time
-    axis to n_out frames reads."""
-    if n_out < 2:
-        raise InvalidInputError("resize targets must be >= 2")
-    if n_in in (1, n_out):
-        return np.arange(n_in)
-    i0, _ = _taps(n_in, n_out)
-    return np.union1d(i0, i0 + 1)
 
 
 def _taps(n_in, n_out):
@@ -426,25 +419,16 @@ def _taps(n_in, n_out):
     return i0, pos - i0
 
 
-def _interp_axis(v, n_out, axis, n_in=None):
-    """Interpolate `v` along `axis` to n_out points. With `n_in`, `v` holds
-    only the entries `resize_columns(n_in, n_out)` of an n_in-long axis."""
-    held = None if n_in is None else resize_columns(n_in, n_out)
-    if held is not None and v.shape[axis] != held.size:
-        raise InvalidInputError(
-            f"expected the {held.size} columns that resizing {n_in} to "
-            f"{n_out} reads, got {v.shape[axis]}")
-    n_in = v.shape[axis] if n_in is None else n_in
+def _interp_axis(v, n_out, axis):
+    """Interpolate `v` along `axis` to n_out points."""
+    n_in = v.shape[axis]
     if n_in == n_out:
         return v
     if n_in == 1:
         return np.repeat(v, n_out, axis=axis)
     i0, frac = _taps(n_in, n_out)
-    i1 = i0 + 1
-    if held is not None:
-        i0, i1 = np.searchsorted(held, i0), np.searchsorted(held, i1)
     lo = np.take(v, i0, axis=axis)
-    hi = np.take(v, i1, axis=axis)
+    hi = np.take(v, i0 + 1, axis=axis)
     shape = [1, 1]
     shape[axis] = n_out
     frac = frac.reshape(shape)
@@ -460,7 +444,8 @@ def extract_spectrogram(clip, wavelet, f_bins, t_frames, target_seconds):
     clip = bandpass(clip, FREQ_LO_HZ, FREQ_HI_HZ)
     scales = make_scale_grid(wavelet, f_bins, clip.sample_rate)
     n = clip.samples.size
-    coeffs = cwt(clip, wavelet, scales, columns=resize_columns(n, t_frames))
+    i0, _ = _taps(n, t_frames)
+    coeffs = cwt(clip, wavelet, scales, columns=np.concatenate([i0, i0 + 1]))
     return resize(log_magnitude(coeffs), f_bins, t_frames, native_frames=n)
 
 

@@ -17,9 +17,10 @@ SCORE_NAMES = ("SE", "SP", "AS", "HS", "Score")
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """One of the four tasks; class 0 is Normal in every one."""
+
     task_id: str
     class_names: tuple
-    normal_class: int
     label_map: dict
     level: str  # "event" or "record"
 
@@ -34,28 +35,24 @@ TASKS = {
     "1-1": TaskSpec(
         task_id="1-1",
         class_names=("Normal", "Adventitious"),
-        normal_class=0,
         label_map={"N": 0, "Rho": 1, "W": 1, "Str": 1, "B": 1, "CC": 1, "FC": 1},
         level="event",
     ),
     "1-2": TaskSpec(
         task_id="1-2",
         class_names=("N", "Rho", "W", "Str", "CC", "FC", "B"),
-        normal_class=0,
         label_map={"N": 0, "Rho": 1, "W": 2, "Str": 3, "CC": 4, "FC": 5, "B": 6},
         level="event",
     ),
     "2-1": TaskSpec(
         task_id="2-1",
         class_names=("Normal", "Adventitious", "Poor Quality"),
-        normal_class=0,
         label_map={"N": 0, "CAS": 1, "DAS": 1, "CD": 1, "PQ": 2},
         level="record",
     ),
     "2-2": TaskSpec(
         task_id="2-2",
         class_names=("N", "CAS", "DAS", "CD", "PQ"),
-        normal_class=0,
         label_map={"N": 0, "CAS": 1, "DAS": 2, "CD": 3, "PQ": 4},
         level="record",
     ),
@@ -76,25 +73,24 @@ def confusion(truth, pred, n_classes):
     return cm
 
 
-def se_sp(cm, normal_class):
-    """Specificity = recall of Normal; sensitivity = exact-class credit over
-    all non-Normal samples. Degenerate 0/0 cases yield 0 plus a flag."""
+def se_sp(cm):
+    """Specificity = recall of Normal (class 0); sensitivity = exact-class
+    credit over all non-Normal samples. Degenerate 0/0 cases yield 0 plus a
+    flag."""
     cm = np.asarray(cm)
-    n = normal_class
     flags = []
-    normal_total = cm[n].sum()
+    normal_total = cm[0].sum()
     if normal_total == 0:
         sp = 0.0
         flags.append("no_normal_samples")
     else:
-        sp = cm[n, n] / normal_total
-    abnormal = [c for c in range(cm.shape[0]) if c != n]
-    abnormal_total = cm[abnormal].sum()
+        sp = cm[0, 0] / normal_total
+    abnormal_total = cm[1:].sum()
     if abnormal_total == 0:
         se = 0.0
         flags.append("no_abnormal_samples")
     else:
-        se = sum(cm[c, c] for c in abnormal) / abnormal_total
+        se = (np.trace(cm) - cm[0, 0]) / abnormal_total
     return float(se), float(sp), flags
 
 
@@ -141,7 +137,7 @@ class ScoreReport:
 
 
 def report_from_confusion(cm, task):
-    se, sp, flags = se_sp(cm, task.normal_class)
+    se, sp, flags = se_sp(cm)
     as_, hs, score = scores(se, sp)
     row_totals = cm.sum(axis=1)
     recalls = tuple(

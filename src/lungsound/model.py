@@ -52,6 +52,11 @@ class ModelConfig:
         if not 0 <= self.dropout < 1:
             raise InvalidConfigError(
                 f"model.dropout must be in [0, 1), got {self.dropout!r}")
+        _, f, t = self.block_dims()[-1]
+        if f < 1 or t < 1:
+            raise InvalidConfigError(
+                f"model input dims {self.input_dims[0]}x{self.input_dims[1]}"
+                " collapse before pooling")
 
     def block_dims(self):
         """(channels, F, T) entering each stage, ending at the pooling block."""
@@ -323,9 +328,7 @@ class RespiratoryClassifier(Module):
             c1, c2, INCFT_KERNELS[1], INCT_KERNELS[1],
             config.rn_lambda, config.dropout, rng, dtype,
         )
-        _, f_out, t_out = config.block_dims()[-1]
-        if f_out < 1 or t_out < 1:
-            raise InvalidConfigError("input dims collapse before pooling")
+        _, _, t_out = config.block_dims()[-1]
         self.head = AttentionHead(t_out, c2, config, rng, dtype)
 
     def forward(self, batch, training=False, rng=None):

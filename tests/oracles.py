@@ -68,16 +68,20 @@ def cwt_dense(clip, spec, scales):
     return out
 
 
-def conv2d_loop(x, w, b, padding="valid"):
-    """Quadruple-loop cross-correlation oracle."""
+def _pad_same(x, kh, kw):
+    """x zero-padded for a "same" kh×kw correlation, the extra row or
+    column of an even kernel on the high side; returns (padded, top, left)."""
+    pl, pr = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
+    ql, qr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
+    return np.pad(x, ((0, 0), (0, 0), (pl, pr), (ql, qr))), pl, ql
+
+
+def conv2d_loop(x, w, b):
+    """Quadruple-loop "same" cross-correlation oracle."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    if padding == "same":
-        pl, pr = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
-        ql, qr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
-        x = np.pad(x, ((0, 0), (0, 0), (pl, pr), (ql, qr)))
-        h, wd = x.shape[2], x.shape[3]
-    out = np.zeros((n, o, h - kh + 1, wd - kw + 1))
+    x, _, _ = _pad_same(x, kh, kw)
+    out = np.zeros((n, o, h, wd))
     for ni in range(n):
         for oi in range(o):
             for i in range(out.shape[2]):
@@ -88,18 +92,14 @@ def conv2d_loop(x, w, b, padding="valid"):
     return out
 
 
-def conv2d_loop_grads(x, w, g, padding="valid"):
+def conv2d_loop_grads(x, w, g):
     """Loop oracle for the input and weight gradients of `conv2d_loop`
     under output gradient g: each output position adds g times its window
     of the weight to the input gradient, and g times its window of the
     input to the weight gradient."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    pl = ql = 0
-    if padding == "same":
-        pl, pr = (kh - 1) // 2, kh - 1 - (kh - 1) // 2
-        ql, qr = (kw - 1) // 2, kw - 1 - (kw - 1) // 2
-        x = np.pad(x, ((0, 0), (0, 0), (pl, pr), (ql, qr)))
+    x, pl, ql = _pad_same(x, kh, kw)
     gxp, gw = np.zeros_like(x), np.zeros_like(w)
     for ni in range(n):
         for oi in range(o):
@@ -110,31 +110,28 @@ def conv2d_loop_grads(x, w, g, padding="valid"):
     return gxp[:, :, pl : pl + h, ql : ql + wd], gw
 
 
-def conv2d_im2col(x, w, bias, padding="same"):
-    """One kernel's convolution as a tape node: a full kh×kw im2col copy
-    and one GEMM, with a per-tap scatter of the column gradient."""
+def conv2d_im2col(x, w, bias):
+    """One kernel's "same" convolution as a tape node: a full kh×kw im2col
+    copy and one GEMM, with a per-tap scatter of the column gradient."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    ph, pw = ((ad._same_pad(kh), ad._same_pad(kw)) if padding == "same"
-              else ((0, 0), (0, 0)))
-    xp = np.pad(x.data, ((0, 0), (0, 0), ph, pw))
-    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    xp, top, left = _pad_same(x.data, kh, kw)
     s = xp.strides
     cols = as_strided(
-        xp, (n, c, kh, kw, ho, wo), (s[0], s[1], s[2], s[3], s[2], s[3])
-    ).reshape(n, c * kh * kw, ho * wo)
+        xp, (n, c, kh, kw, h, wd), (s[0], s[1], s[2], s[3], s[2], s[3])
+    ).reshape(n, c * kh * kw, h * wd)
     w2 = w.data.reshape(o, c * kh * kw)
-    out = (np.matmul(w2, cols) + bias.data.reshape(o, 1)).reshape(n, o, ho, wo)
+    out = (np.matmul(w2, cols) + bias.data.reshape(o, 1)).reshape(n, o, h, wd)
 
     def backprop(g):
-        gflat = g.reshape(n, o, ho * wo)
+        gflat = g.reshape(n, o, h * wd)
         gw = np.matmul(gflat, cols.transpose(0, 2, 1)).sum(axis=0)
-        gcols = np.matmul(w2.T, gflat).reshape(n, c, kh, kw, ho, wo)
+        gcols = np.matmul(w2.T, gflat).reshape(n, c, kh, kw, h, wd)
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, :, i : i + ho, j : j + wo] += gcols[:, :, i, j]
-        gx = gxp[:, :, ph[0] : ph[0] + h, pw[0] : pw[0] + wd]
+                gxp[:, :, i : i + h, j : j + wd] += gcols[:, :, i, j]
+        gx = gxp[:, :, top : top + h, left : left + wd]
         return gx, gw.reshape(w.shape), gflat.sum(axis=(0, 2))
 
     return ad._node(out, (x, w, bias), backprop)

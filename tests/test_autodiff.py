@@ -21,18 +21,17 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 2, 3, 3)))
         w = Tensor(np.random.default_rng(1).standard_normal((4, 2, 3, 3)))
         b = Tensor(np.array([1.0, -2.0, 0.5, 3.0]))
-        out = ad.conv2d(x, w, b, padding="same")
+        out = ad.conv2d(x, w, b)
         for oi in range(4):
             assert np.allclose(out.data[0, oi], b.data[oi])
 
-    @pytest.mark.parametrize("padding", ["valid", "same"])
-    def test_matches_loop_oracle(self, padding):
+    def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 1, 5, 5))
         w = rng.standard_normal((2, 1, 3, 3))
         b = rng.standard_normal(2)
-        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), padding).data
-        assert np.allclose(out, conv2d_loop(x, w, b, padding), atol=1e-6)
+        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.allclose(out, conv2d_loop(x, w, b), atol=1e-6)
 
     def test_even_kernel_pads_high_side(self):
         # 4x1 kernel, impulse at frequency row 1 of 4: "same" output places
@@ -40,8 +39,8 @@ class TestConv2d:
         x = np.zeros((1, 1, 4, 1))
         x[0, 0, 1, 0] = 1.0
         w = np.arange(4.0).reshape(1, 1, 4, 1)
-        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)), "same").data
-        oracle = conv2d_loop(x, w, np.zeros(1), "same")
+        out = ad.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1))).data
+        oracle = conv2d_loop(x, w, np.zeros(1))
         assert out.shape == (1, 1, 4, 1)
         assert np.allclose(out, oracle)
 
@@ -96,7 +95,7 @@ class TestConv2dSum:
         reference = run(oracle_sum)
         for got, want in zip(merged, reference):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
-        loops = sum(conv2d_loop(x, w.data, b.data, "same")
+        loops = sum(conv2d_loop(x, w.data, b.data)
                     for w, b in zip(weights, biases))
         assert np.allclose(merged[0], loops, rtol=0, atol=1e-12)
 
@@ -117,7 +116,7 @@ class TestConv2dSum:
         x = Tensor(rng.standard_normal((1, 2, 6, 5)))
         weights, _ = self.branch_params(rng, self.KERNELS["inc01"], c_in=2)
         out = ad.conv2d_sum(x, weights, []).data
-        expected = sum(conv2d_loop(x.data, w.data, np.zeros(4), "same")
+        expected = sum(conv2d_loop(x.data, w.data, np.zeros(4))
                        for w in weights)
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -133,10 +132,10 @@ class TestConv2dSum:
             ad.conv2d_sum(x, [Tensor(np.zeros((3, 2, 3, 3))),
                               Tensor(np.zeros((4, 2, 1, 1)))], [])
         with pytest.raises(InvalidInputError):
-            ad.conv2d_sum(x, [Tensor(np.zeros((3, 2, 3, 3))),
-                              Tensor(np.zeros((3, 2, 1, 1)))], [], "valid")
-        with pytest.raises(InvalidInputError):
             ad.conv2d_sum(x, [], [])
+        with pytest.raises(InvalidInputError):
+            ad.conv2d_sum(Tensor(np.zeros((1, 2, 0, 5))),
+                          [Tensor(np.zeros((3, 2, 3, 3)))], [])
 
 
 def _closure_arrays(node):
@@ -158,15 +157,14 @@ class TestConv2dBands:
     """The band loop, with the band budget shrunk so that one convolution
     runs as many bands, against the oracles in float64."""
 
-    # kernels, padding, number of taps in their union, input H×W; the
-    # border cases have taps that lie wholly outside the input
+    # kernels, number of taps in their union, input H×W; the border cases
+    # have taps that lie wholly outside the input
     CASES = {
-        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10, (7, 11)),
-        "inct_5_7": ([(1, 5), (1, 7)], "same", 7, (7, 11)),
-        "valid_3x3": ([(3, 3)], "valid", 9, (7, 11)),
-        "border_inc01_h1": ([(3, 3), (1, 1), (4, 1)], "same", 10, (1, 11)),
-        "border_inc01_h2": ([(3, 3), (1, 1), (4, 1)], "same", 10, (2, 11)),
-        "border_1x9_w3": ([(1, 9)], "same", 9, (7, 3)),
+        "inc01": ([(3, 3), (1, 1), (4, 1)], 10, (7, 11)),
+        "inct_5_7": ([(1, 5), (1, 7)], 7, (7, 11)),
+        "border_inc01_h1": ([(3, 3), (1, 1), (4, 1)], 10, (1, 11)),
+        "border_inc01_h2": ([(3, 3), (1, 1), (4, 1)], 10, (2, 11)),
+        "border_1x9_w3": ([(1, 9)], 9, (7, 3)),
     }
     N, C_IN = 3, 3
 
@@ -182,7 +180,7 @@ class TestConv2dBands:
     @pytest.mark.parametrize("layout", ["one", "rows1", "rows3", "samples2"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_oracles(self, monkeypatch, name, layout):
-        kernels, padding, n_taps, (h, w) = self.CASES[name]
+        kernels, n_taps, (h, w) = self.CASES[name]
         rng = np.random.default_rng(11)
         x = rng.standard_normal((self.N, self.C_IN, h, w))
         weights, biases = TestConv2dSum.branch_params(rng, kernels)
@@ -197,21 +195,19 @@ class TestConv2dBands:
             return [out.data, xt.grad] + [p.grad for p in weights + biases]
 
         def oracle_sum(xt):
-            outs = [conv2d_im2col(xt, w, b, padding)
-                    for w, b in zip(weights, biases)]
+            outs = [conv2d_im2col(xt, w, b) for w, b in zip(weights, biases)]
             total = outs[0]
             for out in outs[1:]:
                 total = total + out
             return total
 
         reference = run(oracle_sum)
-        _, _, ho, wo = reference[0].shape
         monkeypatch.setattr(ad, "_BAND_BYTES",
-                            self.budget(layout, n_taps, ho, wo))
-        banded = run(lambda xt: ad.conv2d_sum(xt, weights, biases, padding))
+                            self.budget(layout, n_taps, h, w))
+        banded = run(lambda xt: ad.conv2d_sum(xt, weights, biases))
         for got, want in zip(banded, reference):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
-        loops = sum(conv2d_loop(x, w.data, b.data, padding)
+        loops = sum(conv2d_loop(x, w.data, b.data)
                     for w, b in zip(weights, biases))
         assert np.allclose(banded[0], loops, rtol=0, atol=1e-12)
 
@@ -304,17 +300,11 @@ class TestConv2dBackward:
     so that its bands over the input rows are one band per sample, one-row
     bands or three-row bands, against the oracles in float64."""
 
-    # kernels, padding, number of taps in their union, input H×W; the
-    # border cases have taps that lie wholly outside the input
+    # the band loop's cases, plus a 1×1 and an even kernel
     CASES = {
-        "inc01": ([(3, 3), (1, 1), (4, 1)], "same", 10, (7, 11)),
-        "inct_5_7": ([(1, 5), (1, 7)], "same", 7, (7, 11)),
-        "valid_3x3": ([(3, 3)], "valid", 9, (7, 11)),
-        "one_by_one": ([(1, 1)], "same", 1, (7, 11)),
-        "even_2x4": ([(2, 4)], "same", 8, (7, 11)),
-        "border_inc01_h1": ([(3, 3), (1, 1), (4, 1)], "same", 10, (1, 11)),
-        "border_inc01_h2": ([(3, 3), (1, 1), (4, 1)], "same", 10, (2, 11)),
-        "border_1x9_w3": ([(1, 9)], "same", 9, (7, 3)),
+        **TestConv2dBands.CASES,
+        "one_by_one": ([(1, 1)], 1, (7, 11)),
+        "even_2x4": ([(2, 4)], 8, (7, 11)),
     }
     N, C_IN, C_OUT = 3, 3, 4
 
@@ -331,18 +321,18 @@ class TestConv2dBackward:
     @pytest.mark.parametrize("layout", ["one", "rows1", "rows3", "samples2"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_oracles(self, monkeypatch, name, layout):
-        kernels, padding, n_taps, (h, w) = self.CASES[name]
+        kernels, n_taps, (h, w) = self.CASES[name]
         rng = np.random.default_rng(16)
         x = rng.standard_normal((self.N, self.C_IN, h, w))
         weights, biases = TestConv2dSum.branch_params(rng, kernels)
         monkeypatch.setattr(ad, "_BAND_BYTES",
                             self.budget(layout, n_taps, h, w))
         xt = Tensor(x, requires_grad=True)
-        out = ad.conv2d_sum(xt, weights, biases, padding)
+        out = ad.conv2d_sum(xt, weights, biases)
         g = np.random.default_rng(17).standard_normal(out.shape)
         gx, *grads = out._backprop(g)
 
-        loops = [conv2d_loop_grads(x, w.data, g, padding) for w in weights]
+        loops = [conv2d_loop_grads(x, w.data, g) for w in weights]
         assert np.allclose(gx, sum(gxw for gxw, _ in loops), rtol=0, atol=1e-12)
         for got, (_, want) in zip(grads, loops):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -350,20 +340,20 @@ class TestConv2dBackward:
             assert np.allclose(got, g.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
         xo = Tensor(x, requires_grad=True)
-        outs = [conv2d_im2col(xo, w, b, padding) for w, b in zip(weights, biases)]
+        outs = [conv2d_im2col(xo, w, b) for w, b in zip(weights, biases)]
         want = [o._backprop(g) for o in outs]
         assert np.allclose(gx, sum(w[0] for w in want), rtol=0, atol=1e-12)
         for got, w in zip(grads, [w[1] for w in want] + [w[2] for w in want]):
             assert np.allclose(got, w, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["even_2x4", "valid_3x3"])
+    @pytest.mark.parametrize("name", ["even_2x4", "inct_5_7"])
     def test_grad_check_multi_band(self, monkeypatch, name):
         monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
-        kernels, padding, _, _ = self.CASES[name]
+        kernels = self.CASES[name][0]
 
         def fn(x, *params):
             weights, biases = params[: len(kernels)], params[len(kernels):]
-            return ad.tsum(ad.conv2d_sum(x, weights, biases, padding) ** 2)
+            return ad.tsum(ad.conv2d_sum(x, weights, biases) ** 2)
 
         shapes = ([(2, 2, 5, 9)] + [(3, 2, kh, kw) for kh, kw in kernels]
                   + [(3,)] * len(kernels))
@@ -373,19 +363,19 @@ class TestConv2dBackward:
     def test_constant_input_weight_gradient(self, monkeypatch, layout):
         for name in ["inc01", "border_inc01_h1", "border_inc01_h2",
                      "border_1x9_w3"]:
-            kernels, padding, n_taps, (h, w) = self.CASES[name]
+            kernels, n_taps, (h, w) = self.CASES[name]
             rng = np.random.default_rng(19)
             x = rng.standard_normal((self.N, self.C_IN, h, w))
             weights, _ = TestConv2dSum.branch_params(rng, kernels)
             if layout == "rows1":  # output-row bands, as in the forward
                 monkeypatch.setattr(ad, "_BAND_BYTES",
                                     self.C_IN * n_taps * w * 8)
-            out = ad.conv2d_sum(Tensor(x), weights, [], padding)
+            out = ad.conv2d_sum(Tensor(x), weights, [])
             g = np.random.default_rng(20).standard_normal(out.shape)
             gx, *gws = out._backprop(g)
             assert gx is None
             for got, wt in zip(gws, weights):
-                want = conv2d_loop_grads(x, wt.data, g, padding)[1]
+                want = conv2d_loop_grads(x, wt.data, g)[1]
                 assert np.allclose(got, want, rtol=0, atol=1e-12), name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -868,17 +858,16 @@ class TestGradCheck:
         )
         assert err < self.TOL
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    def test_conv2d(self, padding):
+    def test_conv2d(self):
         err = grad_check(
-            lambda x, w, b: ad.tsum(ad.conv2d(x, w, b, padding) ** 2),
+            lambda x, w, b: ad.tsum(ad.conv2d(x, w, b) ** 2),
             [(2, 2, 5, 5), (3, 2, 3, 3), (3,)], seed=1,
         )
         assert err < self.TOL
 
     def test_conv2d_even_kernel(self):
         err = grad_check(
-            lambda x, w, b: ad.tsum(ad.conv2d(x, w, b, "same") ** 2),
+            lambda x, w, b: ad.tsum(ad.conv2d(x, w, b) ** 2),
             [(1, 1, 5, 4), (2, 1, 4, 1), (2,)], seed=2,
         )
         assert err < self.TOL

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,8 @@ import pytest
 import lungsound
 from lungsound import cli, data
 from lungsound.cli import main
-from lungsound.dsp import WaveletSpec, load_spectrogram
+from lungsound.dsp import (Spectrogram, WaveletSpec, load_spectrogram,
+                           save_spectrogram)
 from lungsound.errors import InvalidConfigError
 from lungsound.model import RespiratoryClassifier
 from lungsound.training import Adam, load_checkpoint, save_checkpoint
@@ -122,6 +124,30 @@ class TestExtractCommand:
         assert code == 0
         assert os.path.getmtime(os.path.join(fdir, sample)) == before
 
+    def test_stale_caches_are_recomputed(self, workspace, tmp_path):
+        """A cache of another version or size is rewritten as a fresh
+        extraction writes it; every other cache is left alone."""
+        out = _out_with_features(workspace, tmp_path)
+        fdir = out / "features" / "bump_48x48_event"
+        names = sorted(f for f in os.listdir(fdir) if f.endswith(".lssg"))
+        stale = names[:2]
+        blob = bytearray((fdir / stale[0]).read_bytes())
+        blob[4:8] = struct.pack("<I", 1)  # the version field
+        (fdir / stale[0]).write_bytes(bytes(blob))
+        save_spectrogram(fdir / stale[1], Spectrogram(np.zeros((8, 8))))
+        for name in names:
+            os.utime(fdir / name, (1e9, 1e9))
+        base = ["--manifest", workspace["manifest"],
+                "--config", workspace["config"], "--out", str(out)]
+        assert main(["extract"] + base + ["--levels", "event"]) == 0
+        reference = os.path.join(workspace["out"], "features",
+                                 "bump_48x48_event")
+        for name in names:
+            assert (os.path.getmtime(fdir / name) != 1e9) == (name in stale)
+            with open(os.path.join(reference, name), "rb") as fh:
+                assert (fdir / name).read_bytes() == fh.read(), name
+        assert main(["train"] + base + ["--task", "1-1"]) == 0
+
     def test_unknown_level_fails(self, workspace, capsys):
         code = main(["extract", "--manifest", workspace["manifest"],
                      "--config", workspace["config"],
@@ -219,6 +245,21 @@ class TestTrainCommand:
         assert main(["train", "--manifest", workspace["manifest"],
                      "--config", workspace["config"], "--out", str(out),
                      "--task", "1-1"]) == 0
+
+    def test_collapsing_geometry_fails_before_extraction(self, workspace,
+                                                         tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG + "spectrogram.size = 16x16\n"
+                          "augment.crop_bins = 10\n")
+        out = tmp_path / "fresh"
+        argv = ["train", "--manifest", workspace["manifest"],
+                "--config", str(config), "--out", str(out), "--task", "1-1"]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(InvalidConfigError, match="6x6 collapse"):
+            args.func(args)
+        assert main(argv) == 1
+        assert "collapse before pooling" in capsys.readouterr().err
+        assert not (out / "features").exists()
 
     @pytest.mark.parametrize("text", ["{", '{"samples": []}'],
                              ids=["corrupt", "stale"])
@@ -341,6 +382,19 @@ class TestEvaluateCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert list(out.rglob("*.lssg")) == []
+
+    def test_checkpoint_of_another_geometry_fails_before_extraction(
+            self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG + "augment.crop_bins = 6\n")
+        out = tmp_path / "fresh"
+        code = main(["evaluate", "--manifest", workspace["manifest"],
+                     "--config", str(config), "--out", str(out),
+                     "--task", "1-1", "--checkpoint", workspace["checkpoint"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "44x44" in err and "42x42" in err
+        assert not (out / "features").exists()
 
     @staticmethod
     def seven_class_checkpoint(workspace, tmp_path):

@@ -82,13 +82,6 @@ class TestLoadRunConfig:
         assert cfg.model.inc_res_channels == (8, 16)
         assert cfg.augment.mixup is False
 
-    def test_overrides_win(self):
-        cfg = load_run_config(
-            text="wavelet.family = morse\n",
-            overrides={"wavelet.family": "amor", "seed": None},
-        )
-        assert cfg.wavelet.family == "amor"
-
     def test_every_standard_size_loads(self):
         for f, t in sorted(PAPER_SIZES):
             cfg = load_run_config(text=f"spectrogram.size = {f}x{t}\n")

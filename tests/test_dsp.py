@@ -368,9 +368,17 @@ class TestResize:
         assert (out.freq_bins, out.time_frames) == (128, 512)
 
     def test_columns_must_match_native_frames(self):
-        spec = dsp.Spectrogram(values=np.zeros((4, 5)))
-        with pytest.raises(InvalidInputError):
-            dsp.resize(spec, 4, 8, native_frames=100)
+        # the 2·8 columns i0, then i0 + 1, of a 100-frame scalogram
+        full = np.random.default_rng(8).standard_normal((4, 100))
+        i0, _ = dsp._taps(100, 8)
+        held = full[:, np.concatenate([i0, i0 + 1])]
+        out = dsp.resize(dsp.Spectrogram(values=held), 4, 8, native_frames=100)
+        want = dsp.resize(dsp.Spectrogram(values=full), 4, 8)
+        assert np.array_equal(out.values, want.values)
+        for wrong in (held[:, :8], held[:, :15], full):
+            with pytest.raises(InvalidInputError):
+                dsp.resize(dsp.Spectrogram(values=wrong), 4, 8,
+                           native_frames=100)
 
     def test_idempotent_at_native_size(self):
         rng = np.random.default_rng(6)

@@ -43,9 +43,10 @@ class TestTasks:
             ev.TASKS["2-2"].map_label("Rho")
 
     def test_normal_class_is_zero_everywhere(self):
+        # se_sp reads class 0 as Normal
         for task in ev.TASKS.values():
-            assert task.normal_class == 0
             assert task.map_label("N") == 0
+            assert task.class_names[0] in ("Normal", "N")
 
 
 class TestConfusion:
@@ -72,7 +73,7 @@ class TestSeSp:
     def test_binary_oracle(self):
         # 100 normal (80 right), 100 abnormal (70 right)
         cm = np.array([[80, 20], [30, 70]])
-        se, sp, flags = ev.se_sp(cm, 0)
+        se, sp, flags = ev.se_sp(cm)
         assert sp == pytest.approx(0.8)
         assert se == pytest.approx(0.7)
         assert flags == []
@@ -82,20 +83,20 @@ class TestSeSp:
         cm = np.array(
             [[9, 1, 0, 0], [1, 5, 0, 0], [2, 0, 0, 1], [0, 0, 1, 2]]
         )
-        se, sp, _ = ev.se_sp(cm, 0)
+        se, sp, _ = ev.se_sp(cm)
         assert sp == pytest.approx(0.9)
         assert se == pytest.approx(7 / 12)
 
     def test_no_normal_samples_flags(self):
         cm = np.array([[0, 0], [2, 8]])
-        se, sp, flags = ev.se_sp(cm, 0)
+        se, sp, flags = ev.se_sp(cm)
         assert sp == 0.0
         assert se == pytest.approx(0.8)
         assert "no_normal_samples" in flags
 
     def test_no_abnormal_samples_flags(self):
         cm = np.array([[9, 1], [0, 0]])
-        se, sp, flags = ev.se_sp(cm, 0)
+        se, sp, flags = ev.se_sp(cm)
         assert se == 0.0
         assert sp == pytest.approx(0.9)
         assert "no_abnormal_samples" in flags
@@ -176,7 +177,7 @@ class TestEvaluatePredictions:
         cm_bin = ev.confusion(
             (truth22 != 0).astype(int), (pred22 != 0).astype(int), 2
         )
-        se_bin, sp_bin, _ = ev.se_sp(cm_bin, 0)
+        se_bin, sp_bin, _ = ev.se_sp(cm_bin)
         assert rep22.sp == pytest.approx(sp_bin)
         assert rep22.se <= se_bin + 1e-12  # exact-class credit is stricter
 
@@ -191,7 +192,7 @@ class TestScoreReport:
         report = self.make_report()
         payload = json.loads(report.to_json())
         cm = np.array(payload["confusion_matrix"])
-        se, sp, _ = ev.se_sp(cm, 0)
+        se, sp, _ = ev.se_sp(cm)
         as_, hs, score = ev.scores(se, sp)
         assert payload["SE"] == pytest.approx(se)
         assert payload["SP"] == pytest.approx(sp)

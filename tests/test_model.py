@@ -61,7 +61,7 @@ class TestInc01:
         x = Tensor(rng.standard_normal((1, 1, 6, 6)))
         out = block(x).data
         expected = sum(
-            ad.conv2d(x, b.weight, None, "same").data for b in block.branches
+            ad.conv2d(x, b.weight, None).data for b in block.branches
         )
         assert np.allclose(out, expected)
 
@@ -154,8 +154,13 @@ class TestForward:
             assert np.array_equal(pa.data, pb.data)
 
     def test_too_small_input_dims_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            md.RespiratoryClassifier(tiny_config(input_dims=(4, 4)), seed=0)
+        # the config itself, so also a checkpoint header, rejects them
+        for dims in [(4, 4), (16, 7), (0, 32)]:
+            with pytest.raises(InvalidConfigError, match="collapse"):
+                tiny_config(input_dims=dims)
+        header = dict(tiny_config().to_dict(), input_dims=[16, 4])
+        with pytest.raises(InvalidConfigError, match="16x4"):
+            md.ModelConfig.from_dict(header)
 
 
 class TestParameterAccounting:

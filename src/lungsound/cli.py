@@ -244,19 +244,27 @@ def cmd_report(args):
     img_dir = os.path.join(out_dir, "img")
     os.makedirs(img_dir, exist_ok=True)
     feature_root = os.path.join(args.out, "features")
-    n_images = 0
+    n_images = n_skipped = 0
     if os.path.isdir(feature_root):
         for sub in sorted(os.listdir(feature_root)):
             subdir = os.path.join(feature_root, sub)
             for name in sorted(os.listdir(subdir)):
                 if name.endswith(".lssg"):
-                    spec = dsp.load_spectrogram(os.path.join(subdir, name))
+                    # a cache no command re-extracts, such as one an older
+                    # version wrote, is named and left out
+                    try:
+                        spec = dsp.load_spectrogram(os.path.join(subdir, name))
+                    except FormatError as exc:
+                        print(f"skipped: {exc}", file=sys.stderr)
+                        n_skipped += 1
+                        continue
                     _write_pgm(
                         os.path.join(img_dir, f"{sub}__{name[:-5]}.pgm"),
                         spec.values,
                     )
                     n_images += 1
-    lines = [f"rendered {n_images} spectrogram images to {img_dir}", ""]
+    lines = [f"rendered {n_images} spectrogram images to {img_dir}",
+             f"skipped {n_skipped} unreadable spectrogram caches", ""]
     for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
         if name.startswith("task_") and name.endswith(".json"):
             path = os.path.join(out_dir, name)

@@ -209,10 +209,14 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-_FFT_WORKERS = _usable_cpus()
-# rows per batched inverse FFT; bounds the complex work buffer to
-# 16 x P x 16 B (67 MB at record level) instead of F x P
-_IFFT_ROWS = 16
+# rows per batch: as many as keep its complex work buffer (rows x grid length
+# x 16 B) within _BATCH_BYTES, and at least one. A full row takes 2 MB at
+# event level and 4 MB at record level. Batches write disjoint rows, so a
+# CWT of more than one batch runs them on a pool of _usable_cpus() threads,
+# each inverse FFT on one thread (workers=1). Whatever is cached or traced
+# (the forward FFT, the filter bank, the spreading matrices, the unit circle)
+# is computed on the calling thread before any batch is queued
+_BATCH_BYTES = 4 << 20
 # A row with a narrow band is evaluated on a short grid instead of by a
 # P-point inverse FFT: a type-2 non-uniform FFT with a Gaussian kernel
 # (Greengard & Lee 2004, SIAM Review 46(3)), oversampled 2x, that sums
@@ -280,6 +284,22 @@ def _spread_matrix(keep, p, m):
                             shape=(keep.size, m))
 
 
+@functools.lru_cache(maxsize=1)
+def _executor():
+    """The CWT's thread pool, with _usable_cpus() threads, made by the
+    first CWT of more than one batch."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_usable_cpus(),
+                              thread_name_prefix="lungsound-cwt")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads: its first
+    # multi-batch CWT makes a pool of its own
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
 @functools.lru_cache(maxsize=2)
 def _unit_circle(p):
     """e^(2·pi·i·q/p) for q = 0..p-1."""
@@ -298,20 +318,22 @@ def _full_rows(xf, rows, keep, p):
     prod = np.zeros((len(rows), p), dtype=np.complex128)
     for k, (lo, hi, _, factor) in enumerate(rows):
         np.multiply(xf[lo:hi], factor, out=prod[k, lo:hi])
-    prod = scipy.fft.ifft(prod, axis=1, overwrite_x=True, workers=_FFT_WORKERS)
+    prod = scipy.fft.ifft(prod, axis=1, overwrite_x=True, workers=1)
     return prod[:, keep]
 
 
-def _band_rows(xf, rows, m, keep, p):
+def _band_rows(xf, rows, spread, turn, keep, p):
     """Columns `keep` of bank rows that share the grid length m. Each row's
     band goes onto its own grid column, centred (bin centre + j at point
     j mod m); one inverse FFT on m points; each output column n sums its
-    nearest grid points (`_spread_matrix`), then shifts back by
-    e^(2·pi·i·centre·n/p). Each column is summed on its own in a fixed
-    order, and the shift is real arithmetic, so a column's value does not
-    depend on which others are asked for."""
+    nearest grid points (`spread`, the K×m `_spread_matrix`), then shifts
+    back by e^(2·pi·i·centre·n/p), read from `turn` (`_unit_circle(p)`).
+    Each column is summed on its own in a fixed order, and the shift is
+    real arithmetic, so a column's value does not depend on which others
+    are asked for."""
     import scipy.fft
 
+    m = spread.shape[1]
     grid = np.zeros((m, len(rows)), dtype=np.complex128)
     centres = np.empty(len(rows), dtype=np.intp)
     for k, (lo, hi, _, factor) in enumerate(rows):
@@ -319,12 +341,12 @@ def _band_rows(xf, rows, m, keep, p):
         centres[k] = lo + h
         np.multiply(xf[lo + h : hi], factor[h:], out=grid[: hi - lo - h, k])
         np.multiply(xf[lo : lo + h], factor[:h], out=grid[m - h :, k])
-    grid = scipy.fft.ifft(grid, axis=0, overwrite_x=True, workers=_FFT_WORKERS)
+    grid = scipy.fft.ifft(grid, axis=0, overwrite_x=True, workers=1)
     # the weights are real, so the grid is summed as 2·len(rows) real
     # columns: K×(re, im) pairs per row
-    a = _spread_matrix(keep.tobytes(), p, m) @ grid.view(np.float64)
+    a = spread @ grid.view(np.float64)
     a = a.reshape(keep.size, len(rows), 2)
-    turn = _unit_circle(p)[np.multiply.outer(keep, centres) % p]
+    turn = turn[np.multiply.outer(keep, centres) % p]
     turn = turn.view(np.float64).reshape(a.shape)
     out = np.empty_like(a)
     out[..., 0] = a[..., 0] * turn[..., 0] - a[..., 1] * turn[..., 1]
@@ -342,7 +364,8 @@ def cwt(clip, spec, scales, columns=None):
     P-point inverse FFT; a wider row takes that inverse FFT. Which way a
     row goes depends only on its band and P, and each column is computed
     on its own, so the `columns` output is a bitwise gather of the full
-    one."""
+    one, and no output depends on how rows are batched or on which thread
+    a batch runs."""
     import scipy.fft
 
     x = clip.samples
@@ -366,18 +389,37 @@ def cwt(clip, spec, scales, columns=None):
     # every response is 0 at and below omega = 0, and fftfreq puts bin p/2
     # at -Nyquist, so each support ends at or below bin p/2: the half
     # spectrum holds every bin a row reads
-    xf = scipy.fft.rfft(xp, workers=_FFT_WORKERS)
+    xf = scipy.fft.rfft(xp)
     bank = _filter_bank(spec, scales.tobytes(), p)
-    out = np.empty((scales.size, keep.size), dtype=np.complex128)
+    turn = _unit_circle(p)
     by_size = {}
     for i, (_, _, m, _) in enumerate(bank):
         by_size.setdefault(m, []).append(i)
-    for m, members in by_size.items():
-        for start in range(0, len(members), _IFFT_ROWS):
-            batch = members[start : start + _IFFT_ROWS]
-            rows = [bank[i] for i in batch]
-            out[batch] = (_band_rows(xf, rows, m, keep, p) if m
-                          else _full_rows(xf, rows, keep, p))
+    batches = []
+    # the largest grids first, so that the last batches to finish are short
+    for m in sorted(by_size, key=lambda m: m or p, reverse=True):
+        spread = _spread_matrix(keep.tobytes(), p, m) if m else None
+        members = by_size[m]
+        step = max(1, _BATCH_BYTES // (16 * (m or p)))
+        batches += [(members[start : start + step], spread)
+                    for start in range(0, len(members), step)]
+    out = np.empty((scales.size, keep.size), dtype=np.complex128)
+
+    def run(batch, spread):
+        rows = [bank[i] for i in batch]
+        out[batch] = (_full_rows(xf, rows, keep, p) if spread is None
+                      else _band_rows(xf, rows, spread, turn, keep, p))
+
+    if len(batches) == 1 or _usable_cpus() == 1:
+        for batch in batches:
+            run(*batch)
+    else:
+        from concurrent.futures import wait
+
+        futures = [_executor().submit(run, *batch) for batch in batches]
+        wait(futures)  # no batch still writes to `out` once this returns
+        for future in futures:
+            future.result()
     return out
 
 

@@ -38,6 +38,11 @@ class ModelConfig:
     dropout: float = 0.2
 
     def __post_init__(self):
+        dims = self.input_dims
+        if not (isinstance(dims, tuple) and len(dims) == 2
+                and all(type(d) is int for d in dims)):
+            raise InvalidConfigError(
+                f"model.input_dims must be two positive ints, got {dims!r}")
         if len(self.inc_res_channels) != 2:
             raise InvalidConfigError(
                 "model.inc_res_channels: exactly two Inc-Res blocks are built")
@@ -55,8 +60,8 @@ class ModelConfig:
         _, f, t = self.block_dims()[-1]
         if f < 1 or t < 1:
             raise InvalidConfigError(
-                f"model input dims {self.input_dims[0]}x{self.input_dims[1]}"
-                " collapse before pooling")
+                f"model.input_dims {dims[0]}x{dims[1]} collapse before "
+                "pooling")
 
     def block_dims(self):
         """(channels, F, T) entering each stage, ending at the pooling block."""

@@ -445,6 +445,25 @@ class TestReportCommand:
                 f"AS={rep['AS']:.3f} HS={rep['HS']:.3f} "
                 f"Score={rep['Score']:.3f}") in summary.splitlines()
 
+    def test_unreadable_cache_is_skipped_and_named(self, workspace, tmp_path,
+                                                   capsys):
+        """A version-1 cache in a directory no command re-extracts is
+        named on stderr and counted, and every other cache is rendered."""
+        out = _out_with_features(workspace, tmp_path)
+        fdir = out / "features" / os.listdir(out / "features")[0]
+        stale = fdir / sorted(f for f in os.listdir(fdir)
+                              if f.endswith(".lssg"))[0]
+        blob = bytearray(stale.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)  # the version field
+        stale.write_bytes(bytes(blob))
+        assert main(["report", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert f"{stale}: unsupported cache version 1" in err
+        summary = (out / "reports" / "summary.txt").read_text().splitlines()
+        assert summary[0].startswith("rendered 41 spectrogram images")
+        assert summary[1] == "skipped 1 unreadable spectrogram caches"
+        assert len(os.listdir(out / "reports" / "img")) == 41
+
     @pytest.mark.parametrize("mangle", [
         lambda text: text[: len(text) // 2],  # truncated
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()

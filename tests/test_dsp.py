@@ -1,8 +1,12 @@
+import itertools
 import json
 import os
+import signal as os_signal
 import struct
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +58,36 @@ def band_grid_sizes(spec, scales, p):
     """Grid length of each filter-bank row at padded length p (0: the row
     takes the full inverse FFT)."""
     return [m for _, _, m, _ in dsp._filter_bank(spec, scales.tobytes(), p)]
+
+
+def pool_exists():
+    return dsp._executor.cache_info().currsize == 1
+
+
+@pytest.fixture
+def fresh_pool():
+    """No CWT thread pool on entry or on exit: a pool made before the test
+    or by it is shut down."""
+    def drop():
+        if pool_exists():
+            dsp._executor().shutdown()
+        dsp._executor.cache_clear()
+
+    drop()
+    yield
+    drop()
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(dsp, "_usable_cpus", lambda: n)
+
+
+def pool_transform(family, columns=None):
+    """cwt's arguments for a 2 s clip at 40 bins."""
+    clip = dsp.AudioClip(np.random.default_rng(13).standard_normal(8000),
+                         4000)
+    spec = dsp.WaveletSpec(family=family)
+    return clip, spec, dsp.make_scale_grid(spec, 40, 4000), columns
 
 
 class TestAudioClip:
@@ -231,7 +265,7 @@ class TestCwt:
         spec = dsp.WaveletSpec(family="bump")
         clip = dsp.AudioClip(np.random.default_rng(10).standard_normal(300),
                              4000)
-        grid = self.grid(spec, n=20)  # more rows than one inverse-FFT batch
+        grid = self.grid(spec, n=20)
         full = dsp.cwt(clip, spec, grid)
         for cols in ([0, 299], [5, 6, 7, 150, 298], []):
             part = dsp.cwt(clip, spec, grid, columns=cols)
@@ -272,15 +306,94 @@ class TestCwt:
             dsp.extract_spectrogram(clip, spec, 24, 32, 2.0)
         assert len(calls) == 24
 
-    def test_fft_worker_count_does_not_change_output(self, monkeypatch):
-        clip = dsp.AudioClip(np.random.default_rng(13).standard_normal(6000),
-                             4000)
-        spec = dsp.WaveletSpec(family="morse")
-        out = []
-        for workers in (1, 2):
-            monkeypatch.setattr(dsp, "_FFT_WORKERS", workers)
-            out.append(dsp.extract_spectrogram(clip, spec, 40, 64, 2.0))
-        assert out[0].values.tobytes() == out[1].values.tobytes()
+    def test_fft_worker_count_does_not_change_output(self, monkeypatch,
+                                                     fresh_pool):
+        """Eight threads, more than the CPUs of a CI runner, on a short
+        switch interval, give the sequential bytes for every family: with
+        the default batches and with one row per batch, so that every grid
+        length of more than one row has several batches."""
+        default_bytes = dsp._BATCH_BYTES
+        interval = sys.getswitchinterval()
+        for family in dsp.WaveletSpec.FAMILIES:
+            args = pool_transform(family, columns=np.arange(0, 8000, 7))
+            use_cpus(monkeypatch, 1)
+            monkeypatch.setattr(dsp, "_BATCH_BYTES", default_bytes)
+            expected = dsp.cwt(*args).tobytes()
+            use_cpus(monkeypatch, 8)
+            sys.setswitchinterval(1e-6)
+            try:
+                for batch_bytes in (default_bytes, 1):
+                    monkeypatch.setattr(dsp, "_BATCH_BYTES", batch_bytes)
+                    assert dsp.cwt(*args).tobytes() == expected, family
+            finally:
+                sys.setswitchinterval(interval)
+        assert pool_exists()
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestBatchPool:
+    """A CWT of more than one row batch runs the batches on a pool of
+    `_usable_cpus()` threads."""
+
+    def test_error_in_one_batch_reaches_the_caller(self, monkeypatch):
+        args = pool_transform("morse")
+        clip, spec, scales, _ = args
+        n_full = band_grid_sizes(spec, scales,
+                                 padded_length(clip.samples.size)).count(0)
+        assert n_full > 2
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(dsp, "_BATCH_BYTES", 1)  # one row per batch
+        expected = dsp.cwt(*args).tobytes()
+        full_rows = dsp._full_rows
+        calls = itertools.count()
+
+        def failing(*a):
+            if next(calls) == 1:
+                raise RuntimeError("batch 1 failed")
+            return full_rows(*a)
+
+        monkeypatch.setattr(dsp, "_full_rows", failing)
+        with pytest.raises(RuntimeError, match="batch 1 failed"):
+            dsp.cwt(*args)
+        # every other batch ran before the error was raised
+        assert next(calls) == n_full
+        monkeypatch.setattr(dsp, "_full_rows", full_rows)
+        assert dsp.cwt(*args).tobytes() == expected
+
+    def test_one_cpu_or_one_batch_starts_no_thread(self, monkeypatch):
+        def start(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(dsp, "_BATCH_BYTES", 1)
+        dsp.cwt(*pool_transform("morse"))
+        use_cpus(monkeypatch, 2)
+        clip, spec, _, _ = pool_transform("bump")
+        dsp.cwt(clip, spec, np.array([8.0]))  # one row: one batch
+        assert not pool_exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_the_cwt(self, monkeypatch):
+        args = pool_transform("bump")
+        use_cpus(monkeypatch, 2)
+        expected = dsp.cwt(*args).tobytes()
+        assert pool_exists()
+        with warnings.catch_warnings():
+            # newer Pythons warn of fork() in a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os_signal.alarm(60)  # a child that hangs is killed
+                fresh = not pool_exists()
+                code = 0 if fresh and dsp.cwt(*args).tobytes() == expected \
+                    else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestBandGrid:

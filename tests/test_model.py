@@ -162,6 +162,12 @@ class TestForward:
         with pytest.raises(InvalidConfigError, match="16x4"):
             md.ModelConfig.from_dict(header)
 
+    @pytest.mark.parametrize("dims", [(16, 32, 3), (16,), (), [16, 32],
+                                      (16.0, 32), ("16", 32), (True, 32)])
+    def test_input_dims_other_than_two_ints_rejected(self, dims):
+        with pytest.raises(InvalidConfigError, match="model.input_dims"):
+            tiny_config(input_dims=dims)
+
 
 class TestParameterAccounting:
     @staticmethod

@@ -23,6 +23,8 @@ from .errors import InvalidConfigError, InvalidInputError, UsageError
 
 # added to the variance under the square root of every normalization
 NORM_EPS = 1e-5
+# weight of each training batch's statistics in batch norm's running ones
+BN_MOMENTUM = 0.1
 
 _grad_enabled = True
 
@@ -656,15 +658,14 @@ def _standardize_grad(g, xhat, inv, axes, scale=1.0):
     return dx, sgx, sg
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
-               training=True):
+def batch_norm(x, gamma, beta, running_mean, running_var, training=True):
     """Per-channel batch normalization over an N×C×F×T tensor.
 
     `running_mean`/`running_var` are plain arrays mutated in place during
-    training (biased batch variance, convention new = (1-m)·old + m·batch).
-    Each mode is one node. Eval mode computes (x − μ)·inv·γ + β from the
-    running statistics in one buffer, in that order; its backward rebuilds
-    (x − μ)·inv from x for γ's gradient.
+    training (biased batch variance, new = (1 − m)·old + m·batch with
+    m = BN_MOMENTUM). Each mode is one node. Eval mode computes
+    (x − μ)·inv·γ + β from the running statistics in one buffer, in that
+    order; its backward rebuilds (x − μ)·inv from x for γ's gradient.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -694,10 +695,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, momentum=0.1,
 
     axes = (0, 2, 3)
     xhat, inv, mu, var = _standardize(x.data, axes)
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu.reshape(c)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(c)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu.reshape(c)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var.reshape(c)
 
     def backprop(g):
         dx, sgx, sg = _standardize_grad(g, xhat, inv, axes, scale)

@@ -151,16 +151,25 @@ def cmd_extract(args):
 def cmd_train(args):
     task = TASKS[args.task]
     cfg = _run_config(args)
-    # a geometry the model cannot take fails before any extraction
+    n_classes = len(task.class_names)
+    # a geometry the model cannot take, a batch the balanced stream cannot
+    # split or a checkpoint directory that cannot be made fails before any
+    # extraction
     model_config = replace(cfg.model, input_dims=_input_dims(cfg),
-                           n_classes=len(task.class_names))
-    fdir, index = _features(args, cfg, task.level)
-    _, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
-    model = RespiratoryClassifier(model_config, seed=cfg.seed)
-    os.makedirs(os.path.join(args.out, "checkpoints"), exist_ok=True)
+                           n_classes=n_classes)
+    batch_size = cfg.train.batch_size
+    if cfg.augment.oversample and batch_size % n_classes:
+        raise InvalidConfigError(
+            f"train.batch_size = {batch_size} is not divisible by the "
+            f"{n_classes} classes of task {args.task}, as "
+            f"augment.oversample needs")
     ckpt = args.checkpoint or os.path.join(
         args.out, "checkpoints", f"task_{args.task}.lsck"
     )
+    os.makedirs(os.path.dirname(os.path.abspath(ckpt)), exist_ok=True)
+    fdir, index = _features(args, cfg, task.level)
+    _, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
+    model = RespiratoryClassifier(model_config, seed=cfg.seed)
     result = fit(model, items, train_idx, val_idx, task, cfg.train,
                  cfg.augment, checkpoint_path=ckpt)
     write_history_csv(
@@ -248,6 +257,8 @@ def cmd_report(args):
     if os.path.isdir(feature_root):
         for sub in sorted(os.listdir(feature_root)):
             subdir = os.path.join(feature_root, sub)
+            if not os.path.isdir(subdir):
+                continue  # a stray file, such as notes.txt
             for name in sorted(os.listdir(subdir)):
                 if name.endswith(".lssg"):
                     # a cache no command re-extracts, such as one an older

@@ -3,7 +3,8 @@
 The chain turns a raw stethoscope clip into a fixed-size log-magnitude
 scalogram: resample to 4 kHz, cyclically tile to a fixed duration, bandpass
 60-2000 Hz, continuous wavelet transform against one of three analytic
-mother wavelets, dB compression, bilinear resize.
+mother wavelets, dB compression, and linear interpolation of the time
+axis, which blends two CWT columns per output frame.
 """
 
 from __future__ import annotations
@@ -425,32 +426,24 @@ def cwt(clip, spec, scales, columns=None):
 
 def log_magnitude(coeffs):
     """dB compression: 20·log10(|c| + 1e-10)."""
-    coeffs = np.asarray(coeffs)
-    if not np.all(np.isfinite(coeffs)):
-        raise InvalidInputError("coefficients must be finite")
     return Spectrogram(values=20.0 * np.log10(np.abs(coeffs) + LOG_EPS))
 
 
-def resize(spec, f_out, t_out, native_frames=None):
-    """Bilinear resize with corner alignment; exact copy at the native size.
-
-    With `native_frames`, `spec` holds only the 2·t_out columns that the
-    time axis reads of a scalogram that many frames wide: the columns i0
-    of `_taps(native_frames, t_out)`, then the columns i0 + 1."""
-    if f_out < 2 or t_out < 2:
-        raise InvalidInputError("resize targets must be >= 2")
+def resize(spec, t_out, native_frames):
+    """Corner-aligned linear interpolation of the time axis to t_out frames
+    from the 2·t_out columns that it reads of a scalogram `native_frames`
+    wide: the columns i0 of `_taps(native_frames, t_out)`, then the columns
+    i0 + 1. The rows are kept as they are."""
     v = spec.values.astype(np.float64)
-    v = _interp_axis(v, f_out, axis=0)
-    if native_frames is None:
-        v = _interp_axis(v, t_out, axis=1)
-    else:
-        if v.shape[1] != 2 * t_out:
-            raise InvalidInputError(
-                f"expected the {2 * t_out} columns that resizing "
-                f"{native_frames} to {t_out} reads, got {v.shape[1]}")
-        _, frac = _taps(native_frames, t_out)
-        v = v[:, :t_out] * (1.0 - frac) + v[:, t_out:] * frac
-    return Spectrogram(values=v)
+    if v.shape[0] < 2 or t_out < 2:
+        raise InvalidInputError("resize targets must be >= 2")
+    if v.shape[1] != 2 * t_out:
+        raise InvalidInputError(
+            f"expected the {2 * t_out} columns that resizing "
+            f"{native_frames} to {t_out} reads, got {v.shape[1]}")
+    _, frac = _taps(native_frames, t_out)
+    return Spectrogram(values=v[:, :t_out] * (1.0 - frac)
+                       + v[:, t_out:] * frac)
 
 
 def _taps(n_in, n_out):
@@ -461,26 +454,10 @@ def _taps(n_in, n_out):
     return i0, pos - i0
 
 
-def _interp_axis(v, n_out, axis):
-    """Interpolate `v` along `axis` to n_out points."""
-    n_in = v.shape[axis]
-    if n_in == n_out:
-        return v
-    if n_in == 1:
-        return np.repeat(v, n_out, axis=axis)
-    i0, frac = _taps(n_in, n_out)
-    lo = np.take(v, i0, axis=axis)
-    hi = np.take(v, i0 + 1, axis=axis)
-    shape = [1, 1]
-    shape[axis] = n_out
-    frac = frac.reshape(shape)
-    return lo * (1.0 - frac) + hi * frac
-
-
 def extract_spectrogram(clip, wavelet, f_bins, t_frames, target_seconds):
-    """Full front-end chain for one clip. The CWT and the dB compression
-    run only at the native columns the resize reads; the result equals
-    resize(log_magnitude(cwt(clip, wavelet, scales)), f_bins, t_frames)."""
+    """Full front-end chain for one clip. The CWT computes `f_bins` scales,
+    and it and the dB compression run only at the native columns that the
+    time interpolation reads."""
     clip = resample(clip, TARGET_RATE)
     clip = tile_to_duration(clip, target_seconds)
     clip = bandpass(clip, FREQ_LO_HZ, FREQ_HI_HZ)
@@ -488,7 +465,7 @@ def extract_spectrogram(clip, wavelet, f_bins, t_frames, target_seconds):
     n = clip.samples.size
     i0, _ = _taps(n, t_frames)
     coeffs = cwt(clip, wavelet, scales, columns=np.concatenate([i0, i0 + 1]))
-    return resize(log_magnitude(coeffs), f_bins, t_frames, native_frames=n)
+    return resize(log_magnitude(coeffs), t_frames, native_frames=n)
 
 
 # -- spectrogram cache ------------------------------------------------------------

@@ -68,6 +68,24 @@ def cwt_dense(clip, spec, scales):
     return out
 
 
+def resize_bilinear(values, f_out, t_out):
+    """Corner-aligned bilinear resize of a 2-d array to f_out×t_out, in
+    float64, one axis after the other; an axis already at its size is
+    copied. `dsp.resize` computes its time axis from the 2·t_out columns
+    this reads."""
+    v = np.asarray(values, dtype=np.float64)
+    for axis, n_out in enumerate((f_out, t_out)):
+        n_in = v.shape[axis]
+        if n_in == n_out:
+            continue
+        pos = np.linspace(0.0, n_in - 1.0, n_out)
+        i0 = np.minimum(pos.astype(int), n_in - 2)
+        frac = np.expand_dims(pos - i0, 1 - axis)
+        v = (np.take(v, i0, axis=axis) * (1.0 - frac)
+             + np.take(v, i0 + 1, axis=axis) * frac)
+    return v
+
+
 def _pad_same(x, kh, kw):
     """x zero-padded for a "same" kh×kw correlation, the extra row or
     column of an even kernel on the high side; returns (padded, top, left)."""

@@ -261,6 +261,34 @@ class TestTrainCommand:
         assert "collapse before pooling" in capsys.readouterr().err
         assert not (out / "features").exists()
 
+    def test_indivisible_batch_fails_before_extraction(self, workspace,
+                                                       tmp_path, capsys):
+        """The balanced stream splits a batch evenly over the task's
+        classes; task 1-2 has 7, so the default batch of 16 fails before
+        any spectrogram is extracted."""
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG + "train.batch_size = 16\n")
+        out = tmp_path / "fresh"
+        argv = ["train", "--manifest", workspace["manifest"],
+                "--config", str(config), "--out", str(out), "--task", "1-2"]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(InvalidConfigError,
+                           match=r"train.batch_size = 16 .* 7 classes of "
+                                 r"task 1-2"):
+            args.func(args)
+        assert main(argv) == 1
+        assert "train.batch_size = 16" in capsys.readouterr().err
+        assert not (out / "features").exists()
+
+    def test_checkpoint_in_a_new_directory(self, workspace, tmp_path):
+        out = _out_with_features(workspace, tmp_path)
+        ckpt = tmp_path / "new" / "nested" / "m.lsck"
+        assert main(["train", "--manifest", workspace["manifest"],
+                     "--config", workspace["config"], "--out", str(out),
+                     "--task", "1-1", "--checkpoint", str(ckpt)]) == 0
+        assert load_checkpoint(str(ckpt))[3] >= 1
+        assert not (out / "checkpoints").exists()
+
     @pytest.mark.parametrize("text", ["{", '{"samples": []}'],
                              ids=["corrupt", "stale"])
     def test_feature_index_is_rebuilt_from_the_manifest(self, workspace,
@@ -463,6 +491,15 @@ class TestReportCommand:
         assert summary[0].startswith("rendered 41 spectrogram images")
         assert summary[1] == "skipped 1 unreadable spectrogram caches"
         assert len(os.listdir(out / "reports" / "img")) == 41
+
+    def test_stray_file_under_features_is_skipped(self, workspace,
+                                                  tmp_path):
+        out = _out_with_features(workspace, tmp_path)
+        (out / "features" / "notes.txt").write_text("not a feature dir\n")
+        assert main(["report", "--out", str(out)]) == 0
+        summary = (out / "reports" / "summary.txt").read_text().splitlines()
+        assert summary[0].startswith("rendered 42 spectrogram images")
+        assert summary[1] == "skipped 0 unreadable spectrogram caches"
 
     @pytest.mark.parametrize("mangle", [
         lambda text: text[: len(text) // 2],  # truncated

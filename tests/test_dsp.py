@@ -15,7 +15,7 @@ from scipy import signal
 import lungsound
 from lungsound import dsp
 from lungsound.errors import FormatError, InvalidConfigError, InvalidInputError
-from oracles import cwt_dense, cwt_direct
+from oracles import cwt_dense, cwt_direct, resize_bilinear
 
 
 def tone(freq, rate, seconds=1.0, amp=1.0):
@@ -461,43 +461,62 @@ class TestLogMagnitude:
         spec = dsp.log_magnitude(np.array([[0.1 + 0j]]))
         assert spec.values[0, 0] == pytest.approx(-20.0, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf)])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite values"):
+            dsp.log_magnitude(np.array([[1.0 + 0j, bad]]))
+
 
 class TestResize:
+    @staticmethod
+    def held(full, t_out):
+        """The 2·t_out columns of `full` that resizing its time axis to
+        t_out reads: the columns i0, then the columns i0 + 1."""
+        i0, _ = dsp._taps(full.shape[1], t_out)
+        return dsp.Spectrogram(values=full[:, np.concatenate([i0, i0 + 1])])
+
     def test_constant_preserved(self):
-        spec = dsp.Spectrogram(values=np.full((5, 9), 5.0))
-        out = dsp.resize(spec, 7, 3)
-        assert out.values.shape == (7, 3)
+        out = dsp.resize(self.held(np.full((5, 9), 5.0), 3), 3,
+                         native_frames=9)
+        assert out.values.shape == (5, 3)
         assert np.allclose(out.values, 5.0)
 
     def test_bilinear_midpoint(self):
-        spec = dsp.Spectrogram(values=np.array([[0.0, 1.0], [0.0, 1.0]]))
-        out = dsp.resize(spec, 2, 3)
+        spec = self.held(np.array([[0.0, 1.0], [0.0, 1.0]]), 3)
+        out = dsp.resize(spec, 3, native_frames=2)
         assert np.allclose(out.values[:, 1], 0.5)
 
     def test_event_geometry(self):
         rng = np.random.default_rng(5)
-        spec = dsp.Spectrogram(values=rng.standard_normal((128, 8000)))
-        out = dsp.resize(spec, 128, 512)
+        spec = self.held(rng.standard_normal((128, 8000)), 512)
+        out = dsp.resize(spec, 512, native_frames=8000)
         assert (out.freq_bins, out.time_frames) == (128, 512)
 
     def test_columns_must_match_native_frames(self):
         # the 2·8 columns i0, then i0 + 1, of a 100-frame scalogram
-        full = np.random.default_rng(8).standard_normal((4, 100))
-        i0, _ = dsp._taps(100, 8)
-        held = full[:, np.concatenate([i0, i0 + 1])]
-        out = dsp.resize(dsp.Spectrogram(values=held), 4, 8, native_frames=100)
-        want = dsp.resize(dsp.Spectrogram(values=full), 4, 8)
-        assert np.array_equal(out.values, want.values)
-        for wrong in (held[:, :8], held[:, :15], full):
+        rng = np.random.default_rng(8)
+        full = rng.standard_normal((4, 100)).astype(np.float32)
+        held = self.held(full, 8)
+        out = dsp.resize(held, 8, native_frames=100)
+        want = resize_bilinear(full, 4, 8).astype(np.float32)
+        assert out.values.tobytes() == want.tobytes()
+        for wrong in (held.values[:, :8], held.values[:, :15], full):
             with pytest.raises(InvalidInputError):
-                dsp.resize(dsp.Spectrogram(values=wrong), 4, 8,
+                dsp.resize(dsp.Spectrogram(values=wrong), 8,
                            native_frames=100)
+
+    def test_too_few_rows_or_frames_rejected(self):
+        full = np.random.default_rng(9).standard_normal((3, 50))
+        with pytest.raises(InvalidInputError, match="must be >= 2"):
+            dsp.resize(self.held(full[:1], 8), 8, native_frames=50)
+        with pytest.raises(InvalidInputError, match="must be >= 2"):
+            dsp.resize(self.held(full, 1), 1, native_frames=50)
 
     def test_idempotent_at_native_size(self):
         rng = np.random.default_rng(6)
-        spec = dsp.Spectrogram(values=rng.standard_normal((16, 20)))
-        out = dsp.resize(spec, 16, 20)
-        assert np.array_equal(out.values, spec.values)
+        full = rng.standard_normal((16, 20)).astype(np.float32)
+        out = dsp.resize(self.held(full, 20), 20, native_frames=20)
+        assert np.array_equal(out.values, full)
 
 
 class TestPipeline:
@@ -520,8 +539,9 @@ class TestPipeline:
         c = dsp.bandpass(dsp.tile_to_duration(dsp.resample(clip, 4000),
                                               seconds))
         grid = dsp.make_scale_grid(w, 30, c.sample_rate)
-        full = dsp.resize(dsp.log_magnitude(dsp.cwt(c, w, grid)), 30, 70)
-        assert fast.values.tobytes() == full.values.tobytes()
+        full = resize_bilinear(
+            dsp.log_magnitude(dsp.cwt(c, w, grid)).values, 30, 70)
+        assert fast.values.tobytes() == full.astype(np.float32).tobytes()
 
     def test_native_width_is_copied(self):
         clip = dsp.AudioClip(np.random.default_rng(15).standard_normal(400),

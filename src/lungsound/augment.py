@@ -51,9 +51,6 @@ def balanced_oversample(class_of, batch_size, rng_seed):
     classes = sorted(by_class)
     if not classes:
         raise InvalidConfigError("class map is empty")
-    for cls in classes:
-        if not by_class[cls]:
-            raise InvalidConfigError(f"class {cls!r} has no samples")
     if batch_size % len(classes) != 0:
         raise InvalidConfigError(
             f"batch size {batch_size} not divisible by {len(classes)} classes"

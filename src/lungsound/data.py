@@ -85,6 +85,12 @@ class ManifestEntry:
     annotation: str
     split: str
 
+    @property
+    def recording_id(self):
+        """The audio file's base name less its extension, which names the
+        recording's samples and their cache files."""
+        return os.path.splitext(os.path.basename(self.audio))[0]
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -118,11 +124,17 @@ class DatasetManifest:
             root = str(d["root"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
+        first = {}
         for k, e in enumerate(entries):
             if e.split not in SPLITS:
                 raise DataError(
                     f"{path}: entry {k} ({e.audio}) has split {e.split!r}; "
                     f"expected one of {', '.join(SPLITS)}")
+            j = first.setdefault(e.recording_id, k)
+            if j != k:
+                raise DataError(
+                    f"{path}: entries {j} ({entries[j].audio}) and {k} "
+                    f"({e.audio}) share the recording id {e.recording_id!r}")
         return cls(root=root, entries=entries)
 
     def save(self, path):
@@ -130,13 +142,12 @@ class DatasetManifest:
             fh.write(self.to_json() + "\n")
 
     def load_annotation(self, entry):
-        rec_id = os.path.splitext(os.path.basename(entry.audio))[0]
         path = os.path.join(self.root, entry.annotation)
         # read as bytes, so that text that is not UTF-8 fails in from_json
         with open(path, "rb") as fh:
             text = fh.read()
         try:
-            return AnnotationRecord.from_json(rec_id, text)
+            return AnnotationRecord.from_json(entry.recording_id, text)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
 

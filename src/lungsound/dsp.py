@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 import os
-import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import artifact
 from .errors import FormatError, InvalidConfigError, InvalidInputError
 
 # scipy is imported inside resample, bandpass and the CWT's functions, its
@@ -40,9 +41,9 @@ BUMP_MU = 5.0
 BUMP_SIGMA = 0.6
 
 CACHE_MAGIC = b"LSSG"
-# 2: narrow CWT rows are evaluated on a band grid, which moved some
-# values by one float32 ulp
-CACHE_VERSION = 2
+# 2: narrow CWT rows on a band grid moved some values by one float32 ulp;
+# 3: the `artifact` container, with one "values" array
+CACHE_VERSION = 3
 
 # time support of the scaled wavelet, in units of the scale factor; a crude
 # bound used only to reject absurd scale/signal-length combinations
@@ -213,10 +214,10 @@ def _usable_cpus():
 # rows per batch: as many as keep its complex work buffer (rows x grid length
 # x 16 B) within _BATCH_BYTES, and at least one. A full row takes 2 MB at
 # event level and 4 MB at record level. Batches write disjoint rows, so a
-# CWT of more than one batch runs them on a pool of _usable_cpus() threads,
-# each inverse FFT on one thread (workers=1). Whatever is cached or traced
-# (the forward FFT, the filter bank, the spreading matrices, the unit circle)
-# is computed on the calling thread before any batch is queued
+# CWT of more than one batch runs them on a pool of _usable_cpus() threads
+# made for that call, each inverse FFT on one thread (workers=1). What is
+# cached or traced (the forward FFT, the filter bank, the spreading
+# matrices, the unit circle) is computed on the calling thread first
 _BATCH_BYTES = 4 << 20
 # A row with a narrow band is evaluated on a short grid instead of by a
 # P-point inverse FFT: a type-2 non-uniform FFT with a Gaussian kernel
@@ -283,22 +284,6 @@ def _spread_matrix(keep, p, m):
     indptr = np.arange(0, near.size + 1, near.shape[1])
     return sparse.csr_array((weight.ravel(), (near % m).ravel(), indptr),
                             shape=(keep.size, m))
-
-
-@functools.lru_cache(maxsize=1)
-def _executor():
-    """The CWT's thread pool, with _usable_cpus() threads, made by the
-    first CWT of more than one batch."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(_usable_cpus(),
-                              thread_name_prefix="lungsound-cwt")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of its parent's threads: its first
-    # multi-batch CWT makes a pool of its own
-    os.register_at_fork(after_in_child=_executor.cache_clear)
 
 
 @functools.lru_cache(maxsize=2)
@@ -415,10 +400,10 @@ def cwt(clip, spec, scales, columns=None):
         for batch in batches:
             run(*batch)
     else:
-        from concurrent.futures import wait
-
-        futures = [_executor().submit(run, *batch) for batch in batches]
-        wait(futures)  # no batch still writes to `out` once this returns
+        # leaving the block waits for every batch, so none still writes to
+        # `out`; then the first error in queue order is raised
+        with ThreadPoolExecutor(_usable_cpus()) as pool:
+            futures = [pool.submit(run, *batch) for batch in batches]
         for future in futures:
             future.result()
     return out
@@ -472,29 +457,17 @@ def extract_spectrogram(clip, wavelet, f_bins, t_frames, target_seconds):
 
 
 def save_spectrogram(path, spec):
-    header = CACHE_MAGIC + struct.pack(
-        "<III", CACHE_VERSION, spec.freq_bins, spec.time_frames
-    )
-    payload = spec.values.astype("<f4").tobytes()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header + payload)
-    os.replace(tmp, path)
+    artifact.save(path, CACHE_MAGIC, CACHE_VERSION, {},
+                  {"values": spec.values.astype("<f4")})
 
 
 def load_spectrogram(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != CACHE_MAGIC:
-        raise FormatError(f"{path}: not a spectrogram cache file")
-    version, f, t = struct.unpack("<III", blob[4:16])
-    if version != CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    if f == 0 or t == 0:
-        raise FormatError(f"{path}: empty {f}x{t} spectrogram")
-    if len(blob) != 16 + 4 * f * t:
-        raise FormatError(f"{path}: truncated cache payload")
-    values = np.frombuffer(blob[16:], dtype="<f4").reshape(f, t)
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: non-finite values in cache payload")
-    return Spectrogram(values=values)
+    """The Spectrogram of a cache file's one "values" array."""
+    _, arrays = artifact.load(path, CACHE_MAGIC, CACHE_VERSION, "cache")
+    if list(arrays) != ["values"]:
+        raise FormatError(f"{path}: cache holds {list(arrays)}, not one "
+                          "'values' array")
+    try:
+        return Spectrogram(values=arrays["values"])
+    except InvalidInputError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

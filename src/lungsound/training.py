@@ -7,25 +7,23 @@ attention weights (not biases or norm parameters).
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
+from . import artifact
 from . import autodiff as ad
 from .augment import balanced_oversample, center_crop, make_batch
 from .autodiff import Tensor
-from .errors import (FormatError, InvalidInputError, require_counts,
-                     require_rates)
+from .errors import (DataError, FormatError, InvalidInputError,
+                     require_counts, require_rates)
 from .evaluation import SCORE_NAMES, evaluate_predictions
 from .model import ModelConfig, RespiratoryClassifier, typed_like
 
 CHECKPOINT_MAGIC = b"LSCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 # samples per eval-mode forward pass
@@ -174,14 +172,20 @@ def fit(model, dataset, train_idx, val_idx, task, train_config, augment_config,
         raise InvalidInputError("empty training split")
     cfg = train_config
     classes = {i: int(np.argmax(dataset[i].label)) for i in train_idx}
-    rng = np.random.default_rng(cfg.seed)
-    model._dropout_rng = rng
-    optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
-
     if augment_config.oversample:
+        present = set(classes.values())
+        missing = [name for k, name in enumerate(task.class_names)
+                   if k not in present]
+        if missing:
+            raise DataError(
+                f"task {task.task_id}: no training sample of class "
+                f"{', '.join(missing)}, which augment.oversample needs")
         stream = balanced_oversample(classes, cfg.batch_size, cfg.seed + 1)
     else:
         stream = _shuffled_batches(list(train_idx), cfg.batch_size, cfg.seed + 1)
+    rng = np.random.default_rng(cfg.seed)
+    model._dropout_rng = rng
+    optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
     steps_per_epoch = max(1, -(-len(train_idx) // cfg.batch_size))
 
     history = []
@@ -249,47 +253,40 @@ def write_history_csv(path, history):
 # -- checkpoint container ---------------------------------------------------------
 
 
+def _named_arrays(model, optimizer):
+    """A checkpoint's arrays as name -> (dtype, live array), in file order:
+    parameters, buffers, then each parameter's Adam m and v, in model order."""
+    params = model.parameters()
+    named = {f"param/{name}": ("<f4", p.data) for name, p in params.items()}
+    named.update((f"buffer/{name}", ("<f8", b))
+                 for name, b in model.named_buffers())
+    named.update((f"{k}/{name}", ("<f4", moments[name])) for name in params
+                 for k, moments in (("m", optimizer.m), ("v", optimizer.v)))
+    return named
+
+
 def save_checkpoint(path, model, optimizer, seed=0, epoch=0):
-    """Binary container: magic, version, a JSON header, then in model order
-    float32 parameters, float64 buffers and each parameter's float32 Adam
-    moments m and v, little-endian, as the header's index lays them out.
-    The format records no dtype, so only a float32 model is saved."""
+    """An `artifact` file: the model config, Adam's step and lr, the seed
+    and the epoch, then the arrays of `_named_arrays`. `load_checkpoint`
+    builds a float32 model, the default, so only a float32 model is saved:
+    any other would come back with other values."""
     dtype = np.dtype(model.dtype)
     if dtype != np.float32:
         raise InvalidInputError(
             f"a checkpoint holds a float32 model, not a {dtype.name} one")
-    params = model.parameters()
-    buffers = dict(model.named_buffers())
-    arrays = ([p.data.astype("<f4") for p in params.values()]
-              + [b.astype("<f8") for b in buffers.values()]
-              + [moments[name].astype("<f4") for name in params
-                 for moments in (optimizer.m, optimizer.v)])
-    index = {kind: [{"name": name, "shape": list(a.shape)}
-                    for name, a in named.items()]
-             for kind, named in (("params", params), ("buffers", buffers))}
-    header = {"config": model.config.to_dict(), "index": index,
+    header = {"config": model.config.to_dict(),
               "optimizer": {"step": optimizer.step_count,
                             "lr": float(optimizer.lr)},
               "seed": int(seed), "epoch": int(epoch)}
-    blob = json.dumps(header, sort_keys=True).encode()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines([CHECKPOINT_MAGIC, struct.pack(
-            "<II", CHECKPOINT_VERSION, len(blob)), blob, *arrays])
-    os.replace(tmp, path)
+    arrays = {name: a.astype(dt) for name, (dt, a)
+              in _named_arrays(model, optimizer).items()}
+    artifact.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
 
 
-def _read_header(path, text):
-    """(config, index, optimizer step, lr, seed, epoch) from a checkpoint's
-    JSON header, each checked for the type `save_checkpoint` writes and, like
-    every index dim, for a finite value that is not negative."""
+def _read_header(path, header):
+    """(config, optimizer step, lr, seed, epoch) from a checkpoint's header,
+    each of the type `save_checkpoint` writes, each number finite and >= 0."""
     try:
-        header = json.loads(text)
-        index = {
-            kind: [(typed_like(e["name"], ""), typed_like(e["shape"], ()))
-                   for e in header["index"][kind]]
-            for kind in ("params", "buffers")
-        }
         opt = header["optimizer"]
         numbers = {"optimizer step": typed_like(opt["step"], 0),
                    "optimizer lr": typed_like(opt["lr"], 0.0),
@@ -298,61 +295,30 @@ def _read_header(path, text):
         config = ModelConfig.from_dict(header["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc!r}") from exc
-    dims = [(f"index dim of {name!r}", d)
-            for entries in index.values() for name, shape in entries
-            for d in shape]
-    for field, value in [*numbers.items(), *dims]:
+    for field, value in numbers.items():
         if not 0 <= value < math.inf:
             raise FormatError(f"{path}: checkpoint {field} is {value!r}, "
                               "not a finite number >= 0")
-    return (config, index, *numbers.values())
+    return (config, *numbers.values())
 
 
 def load_checkpoint(path):
     """Returns (model, optimizer, seed, epoch) with parameters, buffers and
-    Adam's step, lr and moments restored. The file's length must be the one
-    its index implies, which is checked before the model is built; the index
-    must list the model's own parameters and buffers in model order."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack("<II", blob[4:12])
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    config, index, step, lr, seed, epoch = _read_header(
-        path, blob[12 : 12 + header_len])
-    offset = 12 + header_len
-    # bytes per element: a parameter's f4 value, m and v; a buffer's f8 value
-    expected = offset + sum(width * math.prod(shape)
-                            for kind, width in (("params", 12), ("buffers", 8))
-                            for _, shape in index[kind])
-    if len(blob) != expected:
-        raise FormatError(f"{path}: checkpoint is {len(blob)} bytes; its "
-                          f"index implies {expected}")
+    Adam's step, lr and moments restored. The file must list the model's own
+    `_named_arrays`: the same names, dtypes and shapes in the same order."""
+    header, arrays = artifact.load(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                   "checkpoint")
+    config, step, lr, seed, epoch = _read_header(path, header)
     model = RespiratoryClassifier(config, seed=seed)
-    params = model.parameters()
-    buffers = dict(model.named_buffers())
-    for kind, named in (("params", params), ("buffers", buffers)):
-        own = [(name, a.shape) for name, a in named.items()]
-        for i, (saved, built) in enumerate(zip_longest(index[kind], own)):
-            if saved != built:
-                raise FormatError(f"{path}: {kind} index entry {i} is "
-                                  f"{saved}; the model's is {built}")
-
-    def take(shape, dtype):
-        nonlocal offset
-        out = np.frombuffer(blob, dtype, math.prod(shape), offset)
-        offset += out.nbytes
-        return out.reshape(shape)
-
-    for p in params.values():
-        p.data = take(p.shape, "<f4").astype(p.data.dtype)
-    for b in buffers.values():
-        b[...] = take(b.shape, "<f8")
-    optimizer = Adam(params, lr=lr)
+    optimizer = Adam(model.parameters(), lr=lr)
     optimizer.step_count = step
-    for name, p in params.items():
-        for moments in (optimizer.m, optimizer.v):
-            moments[name] = take(p.shape, "<f4").astype(p.data.dtype)
+    own = _named_arrays(model, optimizer)
+    saved = [(name, a.dtype.str, a.shape) for name, a in arrays.items()]
+    built = [(name, dt, a.shape) for name, (dt, a) in own.items()]
+    for i, (s, b) in enumerate(zip_longest(saved, built)):
+        if s != b:
+            raise FormatError(f"{path}: checkpoint array {i} is {s}; the "
+                              f"model's is {b}")
+    for name, (_, a) in own.items():
+        a[...] = arrays[name]
     return model, optimizer, seed, epoch

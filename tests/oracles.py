@@ -1,5 +1,8 @@
 """Reference implementations the tests compare the program against."""
 
+import json
+import struct
+
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import as_strided
@@ -84,6 +87,22 @@ def resize_bilinear(values, f_out, t_out):
         v = (np.take(v, i0, axis=axis) * (1.0 - frac)
              + np.take(v, i0 + 1, axis=axis) * frac)
     return v
+
+
+def write_container(path, magic, version, header, payload):
+    """The `lungsound.artifact` layout written by hand: magic, the version
+    and header length as `<II`, the JSON `header` as given (its "arrays"
+    list included, so a test can write one the program never would), then
+    the `payload` bytes."""
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(magic + struct.pack("<II", version, len(text)) + text
+                     + payload)
+
+
+def array_entries(pairs):
+    """The "arrays" list of (name, array) pairs, in their order."""
+    return [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+            for name, a in pairs]
 
 
 def _pad_same(x, kh, kw):

@@ -124,6 +124,30 @@ class TestExtractCommand:
         assert code == 0
         assert os.path.getmtime(os.path.join(fdir, sample)) == before
 
+    def test_two_recordings_of_one_name_fail_before_extraction(
+            self, synth_dataset, tmp_path, capsys):
+        """One recording copied to a/rec.wav and b/rec.wav, in different
+        splits: both would be cached as rec.lssg, so extract stops with
+        exit status 1 before it makes any feature directory."""
+        entry = synth_dataset.entries[0]
+        for sub, split in (("a", "train"), ("b", "validation")):
+            os.makedirs(tmp_path / sub)
+            for src, name in ((entry.audio, "rec.wav"),
+                              (entry.annotation, "rec.json")):
+                shutil.copy(os.path.join(synth_dataset.root, src),
+                            tmp_path / sub / name)
+        manifest = tmp_path / "manifest.json"
+        data.DatasetManifest(root=str(tmp_path), entries=tuple(
+            data.ManifestEntry(f"{sub}/rec.wav", f"{sub}/rec.json", split)
+            for sub, split in (("a", "train"), ("b", "validation"))
+        )).save(manifest)
+        out = tmp_path / "out"
+        code = main(["extract", "--manifest", str(manifest),
+                     "--out", str(out)])
+        assert code == 1
+        assert "share the recording id 'rec'" in capsys.readouterr().err
+        assert not (out / "features").exists()
+
     def test_stale_caches_are_recomputed(self, workspace, tmp_path):
         """A cache of another version or size is rewritten as a fresh
         extraction writes it; every other cache is left alone."""

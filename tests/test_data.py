@@ -141,6 +141,31 @@ class TestManifest:
             DatasetManifest.load(path)
 
 
+    def test_repeated_recording_id_rejected(self, tmp_path):
+        """Two audio files of one base name would share one recording id,
+        so one cache file: the manifest names both entries."""
+        manifest = DatasetManifest(
+            root=str(tmp_path),
+            entries=(ManifestEntry("a/rec.wav", "a/rec.json", "train"),
+                     ManifestEntry("b.wav", "b.json", "train"),
+                     ManifestEntry("b/rec.wav", "b/rec.json", "validation")),
+        )
+        path = tmp_path / "manifest.json"
+        manifest.save(path)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: entries 0 (a/rec.wav) and 2 (b/rec.wav) share the "
+                "recording id 'rec'")):
+            DatasetManifest.load(path)
+
+    def test_annotation_takes_the_entry_recording_id(self, tmp_path):
+        ann = AnnotationRecord("x", "CAS", ((100, 900, "W"),))
+        (tmp_path / "a.json").write_text(ann.to_json())
+        entry = ManifestEntry("sub/rec.wav", "a.json", "train")
+        manifest = DatasetManifest(root=str(tmp_path), entries=(entry,))
+        assert entry.recording_id == "rec"
+        assert manifest.load_annotation(entry).recording_id == "rec"
+
+
 class TestSynthesis:
     def test_every_event_class_synthesizes(self):
         rng = np.random.default_rng(0)

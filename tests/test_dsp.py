@@ -2,18 +2,18 @@ import itertools
 import json
 import os
 import signal as os_signal
-import struct
 import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import signal
 
 import lungsound
-from lungsound import dsp
+from lungsound import artifact, dsp
 from lungsound.errors import FormatError, InvalidConfigError, InvalidInputError
 from oracles import cwt_dense, cwt_direct, resize_bilinear
 
@@ -60,22 +60,17 @@ def band_grid_sizes(spec, scales, p):
     return [m for _, _, m, _ in dsp._filter_bank(spec, scales.tobytes(), p)]
 
 
-def pool_exists():
-    return dsp._executor.cache_info().currsize == 1
-
-
 @pytest.fixture
-def fresh_pool():
-    """No CWT thread pool on entry or on exit: a pool made before the test
-    or by it is shut down."""
-    def drop():
-        if pool_exists():
-            dsp._executor().shutdown()
-        dsp._executor.cache_clear()
+def pools(monkeypatch):
+    """The thread pools the CWT makes, in order."""
+    made = []
 
-    drop()
-    yield
-    drop()
+    def counted(*args, **kwargs):
+        made.append(ThreadPoolExecutor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(dsp, "ThreadPoolExecutor", counted)
+    return made
 
 
 def use_cpus(monkeypatch, n):
@@ -307,7 +302,7 @@ class TestCwt:
         assert len(calls) == 24
 
     def test_fft_worker_count_does_not_change_output(self, monkeypatch,
-                                                     fresh_pool):
+                                                     pools):
         """Eight threads, more than the CPUs of a CI runner, on a short
         switch interval, give the sequential bytes for every family: with
         the default batches and with one row per batch, so that every grid
@@ -327,15 +322,14 @@ class TestCwt:
                     assert dsp.cwt(*args).tobytes() == expected, family
             finally:
                 sys.setswitchinterval(interval)
-        assert pool_exists()
+        assert len(pools) == 2 * len(dsp.WaveletSpec.FAMILIES)
 
 
-@pytest.mark.usefixtures("fresh_pool")
 class TestBatchPool:
     """A CWT of more than one row batch runs the batches on a pool of
-    `_usable_cpus()` threads."""
+    `_usable_cpus()` threads that lives for that call."""
 
-    def test_error_in_one_batch_reaches_the_caller(self, monkeypatch):
+    def test_error_in_one_batch_reaches_the_caller(self, monkeypatch, pools):
         args = pool_transform("morse")
         clip, spec, scales, _ = args
         n_full = band_grid_sizes(spec, scales,
@@ -353,10 +347,14 @@ class TestBatchPool:
             return full_rows(*a)
 
         monkeypatch.setattr(dsp, "_full_rows", failing)
+        threads = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="batch 1 failed"):
             dsp.cwt(*args)
-        # every other batch ran before the error was raised
+        # every other batch ran before the error was raised, and the pool's
+        # threads have ended
         assert next(calls) == n_full
+        assert len(pools) == 2
+        assert set(threading.enumerate()) <= threads
         monkeypatch.setattr(dsp, "_full_rows", full_rows)
         assert dsp.cwt(*args).tobytes() == expected
 
@@ -371,14 +369,13 @@ class TestBatchPool:
         use_cpus(monkeypatch, 2)
         clip, spec, _, _ = pool_transform("bump")
         dsp.cwt(clip, spec, np.array([8.0]))  # one row: one batch
-        assert not pool_exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_the_cwt(self, monkeypatch):
+    def test_forked_child_runs_the_cwt(self, monkeypatch, pools):
         args = pool_transform("bump")
         use_cpus(monkeypatch, 2)
         expected = dsp.cwt(*args).tobytes()
-        assert pool_exists()
+        assert len(pools) == 1
         with warnings.catch_warnings():
             # newer Pythons warn of fork() in a process with threads
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -387,9 +384,7 @@ class TestBatchPool:
             code = 1
             try:
                 os_signal.alarm(60)  # a child that hangs is killed
-                fresh = not pool_exists()
-                code = 0 if fresh and dsp.cwt(*args).tobytes() == expected \
-                    else 2
+                code = 0 if dsp.cwt(*args).tobytes() == expected else 2
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -594,9 +589,13 @@ class TestCacheFormat:
         spec = dsp.Spectrogram(values=rng.standard_normal((12, 34)))
         path = tmp_path / "a.lssg"
         dsp.save_spectrogram(path, spec)
-        assert path.stat().st_size == 16 + 4 * 12 * 34
+        header, arrays = artifact.load(path, dsp.CACHE_MAGIC,
+                                       dsp.CACHE_VERSION, "cache")
+        assert header == {}
+        assert [(n, a.dtype.str, a.shape) for n, a in arrays.items()] == [
+            ("values", "<f4", (12, 34))]
         again = dsp.load_spectrogram(path)
-        assert np.array_equal(again.values, spec.values)
+        assert again.values.tobytes() == spec.values.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "b.lssg"
@@ -604,12 +603,42 @@ class TestCacheFormat:
         with pytest.raises(FormatError):
             dsp.load_spectrogram(path)
 
+    @staticmethod
+    def saved(path, arrays, version=dsp.CACHE_VERSION):
+        artifact.save(path, dsp.CACHE_MAGIC, version, {}, arrays)
+        return path
+
     @pytest.mark.parametrize("f, t", [(0, 4), (4, 0)])
     def test_empty_header_rejected(self, tmp_path, f, t):
-        path = tmp_path / "e.lssg"
-        path.write_bytes(dsp.CACHE_MAGIC
-                         + struct.pack("<III", dsp.CACHE_VERSION, f, t))
-        with pytest.raises(FormatError, match="e.lssg"):
+        path = self.saved(tmp_path / "e.lssg",
+                          {"values": np.zeros((f, t), dtype="<f4")})
+        with pytest.raises(FormatError, match="e.lssg: spectrogram must be "
+                                              "a nonempty 2-d matrix"):
+            dsp.load_spectrogram(path)
+
+    @pytest.mark.parametrize("arrays", [
+        {},
+        {"spec": np.zeros((2, 3), dtype="<f4")},
+        {"values": np.zeros((2, 3), dtype="<f4"),
+         "extra": np.zeros(1, dtype="<f4")},
+    ], ids=["none", "other-name", "two"])
+    def test_other_arrays_rejected(self, tmp_path, arrays):
+        path = self.saved(tmp_path / "o.lssg", arrays)
+        with pytest.raises(FormatError, match="o.lssg: cache holds"):
+            dsp.load_spectrogram(path)
+
+    def test_one_dimensional_values_rejected(self, tmp_path):
+        path = self.saved(tmp_path / "d.lssg",
+                          {"values": np.zeros(6, dtype="<f4")})
+        with pytest.raises(FormatError, match="d.lssg: spectrogram must be"):
+            dsp.load_spectrogram(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        path = self.saved(tmp_path / "v.lssg",
+                          {"values": np.zeros((2, 3), dtype="<f4")},
+                          version=2)
+        with pytest.raises(FormatError, match="v.lssg: unsupported cache "
+                                              "version 2"):
             dsp.load_spectrogram(path)
 
     def test_nonfinite_payload_rejected(self, tmp_path):
@@ -618,7 +647,8 @@ class TestCacheFormat:
         blob = bytearray(path.read_bytes())
         blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="n.lssg"):
+        with pytest.raises(FormatError, match="n.lssg: spectrogram contains "
+                                              "non-finite values"):
             dsp.load_spectrogram(path)
 
     def test_truncation_rejected(self, tmp_path):

@@ -1,19 +1,21 @@
-import json
-import struct
+import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lungsound import artifact
 from lungsound import autodiff as ad
 from lungsound import training as tr
 from lungsound.augment import AugmentConfig, LabeledSpectrogram
 from lungsound.autodiff import Tensor
 from lungsound.dsp import Spectrogram
-from lungsound.errors import (FormatError, InvalidConfigError,
+from lungsound.errors import (DataError, FormatError, InvalidConfigError,
                               InvalidInputError)
 from lungsound.evaluation import TASKS
 from lungsound.model import ModelConfig, RespiratoryClassifier
+from oracles import array_entries, write_container
 
 
 def tiny_model(n_classes=3, seed=0, dtype=np.float32):
@@ -441,6 +443,21 @@ class TestFit:
             tr.fit(tiny_model(), self.make_dataset(), [], [0], TASKS["2-1"],
                    train, aug)
 
+    @pytest.mark.parametrize("batch_size", [3, 6])
+    def test_oversampling_needs_every_class_in_training(self, batch_size):
+        """Class 2 (Poor Quality) only in validation: oversampling stops,
+        naming the task and the class, whether or not the batch divides
+        among the classes that are present."""
+        train, aug = self.cfgs(1)
+        train = replace(train, batch_size=batch_size)
+        dataset, train_idx, val_idx = self.make_dataset(), range(8), [8, 9]
+        with pytest.raises(DataError, match="task 2-1: no training sample "
+                                            "of class Poor Quality"):
+            tr.fit(tiny_model(), dataset, list(train_idx), val_idx,
+                   TASKS["2-1"], train, aug)
+        tr.fit(tiny_model(), dataset, list(train_idx), val_idx,
+               TASKS["2-1"], train, replace(aug, oversample=False))
+
     def test_learns_separable_toy_data(self):
         model = tiny_model()
         dataset = toy_dataset(n_classes=3, per_class=6, f=16, t=24)
@@ -541,7 +558,7 @@ class TestCheckpoint:
             raise AssertionError("model built before the length check")
 
         monkeypatch.setattr(tr, "RespiratoryClassifier", unbuilt)
-        with pytest.raises(FormatError, match="index implies"):
+        with pytest.raises(FormatError, match="arrays list implies"):
             tr.load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path, monkeypatch):
@@ -553,51 +570,35 @@ class TestCheckpoint:
                               lambda blob: blob + b"\x00\x00", monkeypatch)
 
     @staticmethod
-    def edited_checkpoint(path, edit, version=tr.CHECKPOINT_VERSION):
-        """A saved checkpoint with its JSON header passed through `edit`."""
+    def saved_pairs(path):
+        """A fresh checkpoint saved at `path`: its header and its (name,
+        array) pairs in file order."""
         model = tiny_model()
         tr.save_checkpoint(path, model, tr.Adam(model.parameters()))
-        blob = path.read_bytes()
-        n = struct.unpack("<I", blob[8:12])[0]
-        header = json.loads(blob[12 : 12 + n])
+        header, arrays = artifact.load(path, tr.CHECKPOINT_MAGIC,
+                                       tr.CHECKPOINT_VERSION, "checkpoint")
+        return model, header, list(arrays.items())
+
+    @classmethod
+    def edited_checkpoint(cls, path, edit, version=tr.CHECKPOINT_VERSION):
+        """A saved checkpoint written again at `version` with its header,
+        "arrays" list included, passed through `edit`."""
+        model, header, pairs = cls.saved_pairs(path)
+        header["arrays"] = array_entries(pairs)
         edit(header)
-        text = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(blob[:4] + struct.pack("<II", version, len(text))
-                         + text + blob[12 + n :])
+        write_container(path, tr.CHECKPOINT_MAGIC, version, header,
+                        b"".join(a.tobytes() for _, a in pairs))
         return model
 
-    @staticmethod
-    def edited_index(path, kind, edit):
-        """A saved checkpoint with its `kind` index entries, each paired with
-        its payload bytes, passed through `edit`."""
-        model = tiny_model()
-        tr.save_checkpoint(path, model, tr.Adam(model.parameters()))
-        blob = path.read_bytes()
-        n = struct.unpack("<I", blob[8:12])[0]
-        header = json.loads(blob[12 : 12 + n])
-        offset, sections = 12 + n, []
-        # bytes per element: f4 params, f8 buffers, then f4 m plus f4 v
-        # moments for each parameter
-        for k, width in (("params", 4), ("buffers", 8), ("params", 8)):
-            sections.append([])
-            for entry in header["index"][k]:
-                size = width * int(np.prod(entry["shape"]))
-                sections[-1].append(blob[offset : offset + size])
-                offset += size
-        values, buffers, moments = sections
-        chunks = {"params": list(zip(header["index"]["params"],
-                                     zip(values, moments))),
-                  "buffers": list(zip(header["index"]["buffers"],
-                                      zip(buffers)))}
-        chunks[kind] = edit(chunks[kind])
-        header["index"] = {k: [entry for entry, _ in pairs]
-                           for k, pairs in chunks.items()}
-        text = json.dumps(header, sort_keys=True).encode()
-        # in file order: parameter values, buffers, parameter moments
-        payload = [b[0] for _, b in chunks["params"] + chunks["buffers"]]
-        payload += [b[1] for _, b in chunks["params"]]
-        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
-                         + b"".join(payload))
+    @classmethod
+    def edited_index(cls, path, edit):
+        """A saved checkpoint written again with its (name, array) pairs
+        passed through `edit`, each listed as it is."""
+        model, header, pairs = cls.saved_pairs(path)
+        pairs = edit(pairs)
+        write_container(path, tr.CHECKPOINT_MAGIC, tr.CHECKPOINT_VERSION,
+                        {**header, "arrays": array_entries(pairs)},
+                        b"".join(a.tobytes() for _, a in pairs))
         return model
 
     def test_rewritten_header_still_loads(self, tmp_path):
@@ -605,17 +606,18 @@ class TestCheckpoint:
         model = self.edited_checkpoint(path, lambda header: None)
         assert tr.load_checkpoint(path)[0].config == model.config
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_unsupported_version_rejected(self, tmp_path, version):
         path = tmp_path / "model.lsck"
         self.edited_checkpoint(path, lambda header: None, version=version)
-        with pytest.raises(FormatError, match="unsupported checkpoint version"):
+        with pytest.raises(FormatError, match="unsupported checkpoint "
+                                              f"version {version}"):
             tr.load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, named", [
         (lambda h: h.pop("epoch"), "corrupt"),
         (lambda h: h["optimizer"].pop("step"), "corrupt"),
-        (lambda h: h["index"]["params"][0].pop("shape"), "corrupt"),
+        (lambda h: h["arrays"][0].pop("shape"), "corrupt"),
         (lambda h: h["config"].pop("fc_hidden"), "corrupt"),
         (lambda h: h["config"].update(inct_kernels=[[5, 7], [7, 9]]),
          "corrupt"),
@@ -625,16 +627,16 @@ class TestCheckpoint:
          "corrupt"),
         (lambda h: h.update(seed="0"), "corrupt"),
         (lambda h: h.update(config=[]), "corrupt"),
-        (lambda h: h["index"]["buffers"][0].update(shape="4"), "corrupt"),
-        (lambda h: h["index"]["params"][0].update(name=7), "corrupt"),
+        (lambda h: h["arrays"][-1].update(shape="4"), "array entry"),
+        (lambda h: h["arrays"][0].update(name=7), "array entry 7"),
         (lambda h: h["optimizer"].pop("lr"), "corrupt"),
         (lambda h: h["optimizer"].update(lr="0.001"), "corrupt"),
         (lambda h: h["optimizer"].update(step=-2), "optimizer step"),
         (lambda h: h["optimizer"].update(lr=-1e-4), "optimizer lr"),
         (lambda h: h["optimizer"].update(lr=float("nan")), "optimizer lr"),
         (lambda h: h["optimizer"].update(lr=float("inf")), "optimizer lr"),
-        (lambda h: h["index"]["params"][0].update(shape=[-2, 1, 3, 3]),
-         "index dim"),
+        (lambda h: h["arrays"][0].update(shape=[-2, 1, 3, 3]),
+         "array entry"),
         (lambda h: h.update(seed=-1), "seed"),
         (lambda h: h.update(epoch=-1), "epoch"),
     ], ids=["no-epoch", "no-step", "no-shape", "config-missing",
@@ -649,24 +651,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=named):
             tr.load_checkpoint(path)
 
-    @pytest.mark.parametrize("kind, edit, named", [
-        ("params", lambda es: [e for e in es
-                               if e[0]["name"] != "head.fc2.bias"],
-         "head.fc2.bias"),
-        ("params", lambda es: es + es[:1], "doub_inc.inc_a.branches.0.weight"),
-        ("buffers", lambda es: es[1:], "doub_inc.bn_a.running_mean"),
-        ("buffers", lambda es: es + es[:1], "doub_inc.bn_a.running_mean"),
-        ("params", lambda es: es[1::-1] + es[2:],
-         "doub_inc.inc_a.branches.0.weight"),
-        ("params", lambda es: [({**es[0][0], "name": "bogus"}, es[0][1])]
-         + es[1:], "bogus"),
+    @pytest.mark.parametrize("edit, named", [
+        (lambda ps: [p for p in ps if p[0] != "param/head.fc2.bias"],
+         "param/head.fc2.bias"),
+        (lambda ps: ps + ps[:1], "param/doub_inc.inc_a.branches.0.weight"),
+        (lambda ps: [p for p in ps
+                     if p[0] != "buffer/doub_inc.bn_a.running_mean"],
+         "buffer/doub_inc.bn_a.running_mean"),
+        (lambda ps: ps + [p for p in ps
+                          if p[0] == "buffer/doub_inc.bn_a.running_mean"],
+         "buffer/doub_inc.bn_a.running_mean"),
+        (lambda ps: ps[1::-1] + ps[2:],
+         "param/doub_inc.inc_a.branches.0.weight"),
+        (lambda ps: [("param/bogus", ps[0][1])] + ps[1:], "param/bogus"),
+        (lambda ps: [(ps[0][0], ps[0][1].astype("<f8"))] + ps[1:], "<f8"),
+        (lambda ps: [p for p in ps if p[0] != "v/head.fc2.bias"],
+         "v/head.fc2.bias"),
     ], ids=["param-missing", "param-twice", "buffer-missing", "buffer-twice",
-            "param-order", "param-unknown"])
-    def test_incomplete_index_is_a_format_error(self, tmp_path, kind, edit,
-                                                named):
+            "param-order", "param-unknown", "param-f8", "moment-missing"])
+    def test_incomplete_index_is_a_format_error(self, tmp_path, edit, named):
         path = tmp_path / "model.lsck"
-        self.edited_index(path, kind, edit)
-        with pytest.raises(FormatError, match=named):
+        self.edited_index(path, edit)
+        with pytest.raises(FormatError, match=re.escape(named)):
             tr.load_checkpoint(path)
 
 

@@ -288,10 +288,16 @@ def log(a):
     return _node(np.log(a_data), (a,), lambda g: (g / a_data,))
 
 
-def relu(a):
+def relu(a, inplace=False):
     """max(a, 0); a NaN stays NaN. The gradient mask is taken from the
-    output, which is positive exactly where the input is."""
-    out = np.maximum(a.data, 0)
+    output, which is positive exactly where the input is.
+
+    `inplace=True` writes the output into a's own array when nothing
+    records (under `no_grad`), where no closure can read that array: only
+    for a caller that alone holds `a`, fresh from the op that made it.
+    While recording it is ignored and a new array is written."""
+    out = np.maximum(a.data, 0,
+                     out=a.data if inplace and not _grad_enabled else None)
     return _node(out, (a,), lambda g: (g * (out > 0),))
 
 
@@ -396,6 +402,9 @@ def dense(x, w, bias):
 # bytes of im2col columns that a convolution builds at a time: a larger
 # input is run one band of rows at a time, forward and backward
 _BAND_BYTES = 32 << 20
+# bytes of input that average pooling reads at a time, one channel plane
+# at least
+_POOL_BYTES = 1 << 20
 
 
 def _bands(n, ho, row_bytes):
@@ -417,11 +426,12 @@ def _flush_subnormal(g):
     return keep
 
 
-def _band_columns(src, taps, rows, width):
+def _band_columns(src, taps, rows, width, halo=0):
     """The im2col columns of the N×C×H×W array `src`, one band at a time (see
     `_bands`): yields ((i, r0, r1), columns) for rows r0:r1 of sample i,
-    where columns is (C·taps) × (rows·width) and entry (ch, t, r, x) is
-    src[i, ch, dy_t + r0 + r, dx_t + x], or 0 where that lies outside src.
+    where columns is (C·taps) × ((r1 − r0 + halo)·width) and entry
+    (ch, t, r, x) is src[i, ch, dy_t + r0 + r, dx_t + x], or 0 where that
+    lies outside src: a band also holds the `halo` rows after its own.
     So the zero border of a padded convolution is written here, tap by tap,
     and no padded copy of `src` is made. Every band is filled into the same
     buffer, so a band's columns are valid until the next one is yielded."""
@@ -430,16 +440,16 @@ def _band_columns(src, taps, rows, width):
     bands = _bands(n, rows, k * width * src.itemsize)
     # the first band is the largest: one buffer serves every band
     _, r0, r1 = bands[0]
-    buf = np.empty(k * (r1 - r0) * width, dtype=src.dtype)
+    buf = np.empty(k * (r1 - r0 + halo) * width, dtype=src.dtype)
     for band in bands:
         i, r0, r1 = band
-        cols = buf[: k * (r1 - r0) * width].reshape(
-            c, len(taps), r1 - r0, width)
+        span = r1 - r0 + halo
+        cols = buf[: k * span * width].reshape(c, len(taps), span, width)
         for t, (dy, dx) in enumerate(taps):
             # the band's rows a:b and columns p:q lie inside src, every
             # bound clamped to the band; the rest of the tap is border
-            a = min(max(-dy - r0, 0), r1 - r0)
-            b = min(max(h - dy - r0, a), r1 - r0)
+            a = min(max(-dy - r0, 0), span)
+            b = min(max(h - dy - r0, a), span)
             p = min(max(-dx, 0), width)
             q = min(max(w - dx, p), width)
             tap = cols[:, t]
@@ -451,6 +461,52 @@ def _band_columns(src, taps, rows, width):
                 tap[:, a:b, p:q] = src[i, :, dy + r0 + a : dy + r0 + b,
                                        dx + p : dx + q]
         yield band, cols.reshape(k, -1)
+
+
+def _conv_by_rows(xd, merged, taps, bias, out):
+    """`conv2d_sum`'s forward into `out` from columns of the input's column
+    shifts only, one per distinct dx, each band holding the rows below it
+    that its lower taps read: one GEMM per row dy of taps, against those
+    columns moved down dy rows, and the GEMMs summed in order of dy. An
+    im2col holds every tap, so a 3×3 kernel copies its input 9 times here
+    against 3; each further row costs one pass over the output band. The
+    sum runs in another order than one GEMM over all taps, so the two
+    forwards agree to rounding only."""
+    n, c, h, wd = xd.shape
+    o = merged.shape[0]
+    dxs = sorted({dx for _, dx in taps})
+    top, n_dx = taps[0][0], len(dxs)
+    groups = []  # (dy − top, rows of the columns, weight over those rows)
+    for dy in range(top, taps[-1][0] + 1):
+        row = [(dxs.index(dx), t) for t, (ty, dx) in enumerate(taps)
+               if ty == dy]
+        if len(row) == 1:  # one tap: each channel's column of that dx
+            (j, t), = row
+            groups.append((dy - top, slice(j, None, n_dx),
+                           np.ascontiguousarray(merged[:, :, t])))
+        elif row:  # a dx the row lacks gets zero weight
+            w = np.zeros((o, c, n_dx), dtype=merged.dtype)
+            for j, t in row:
+                w[:, :, j] = merged[:, :, t]
+            groups.append((dy - top, slice(None), w.reshape(o, -1)))
+    buf = None
+    shifts = [(top, dx) for dx in dxs]
+    for (i, r0, r1), cols in _band_columns(xd, shifts, h, wd,
+                                           halo=taps[-1][0] - top):
+        band = out[i, :, r0:r1].reshape(o, -1)
+        span = band.shape[1]
+        if buf is None:  # the first band is the largest
+            buf = np.empty(band.size, dtype=out.dtype)
+        part = buf[: band.size].reshape(o, span)
+        for g, (down, rows, w) in enumerate(groups):
+            moved = cols[rows, down * wd : down * wd + span]
+            if g == 0:
+                np.matmul(w, moved, out=band)
+            else:
+                np.matmul(w, moved, out=part)
+                band += part
+        if bias is not None:
+            band += bias
 
 
 def conv2d(x, w, bias):
@@ -487,6 +543,11 @@ def conv2d_sum(x, weights, biases):
     gets from its input's columns, built again band by band. The backward
     flushes subnormal output gradients to zero once per node; the bias
     gradient sums them as they are.
+
+    While nothing records, kernels that span several rows of taps may run
+    by `_conv_by_rows` instead, which copies the input once per distinct
+    column offset rather than once per tap; its sum runs in another order,
+    so such a forward agrees with a recording one to rounding only.
     """
     if (x.ndim != 4 or 0 in x.shape or not weights
             or any(w.ndim != 4 for w in weights)):
@@ -517,12 +578,21 @@ def conv2d_sum(x, weights, biases):
     for w, slot in zip(weights, slots):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
     w2 = merged.reshape(o, k)
+    bias = sum(b.data for b in biases).reshape(o, 1) if biases else None
     out = np.empty((n, o, h, wd), dtype=np.result_type(w2.dtype, xd.dtype))
-    for (i, r0, r1), cols in _band_columns(xd, taps, h, wd):
-        # a view: a band's rows of one channel are contiguous in `out`
-        np.matmul(w2, cols, out=out[i, :, r0:r1].reshape(o, -1))
-    if biases:
-        out += sum(b.data for b in biases).reshape(o, 1, 1)
+    # while nothing records, by rows when the column copies that saves
+    # outnumber the output passes it adds
+    n_dx = len({dx for _, dx in taps})
+    if (not _grad_enabled
+            and (len(taps) - n_dx) * c > (taps[-1][0] - taps[0][0]) * o):
+        _conv_by_rows(xd, merged, taps, bias, out)
+    else:
+        for (i, r0, r1), cols in _band_columns(xd, taps, h, wd):
+            # a view: a band's rows of one channel are contiguous in `out`
+            band = out[i, :, r0:r1].reshape(o, -1)
+            np.matmul(w2, cols, out=band)
+            if bias is not None:
+                band += bias  # while the GEMM's output is still in cache
 
     def backprop(g):
         gf = _flush_subnormal(g)
@@ -564,16 +634,25 @@ def pool2d(x, mode):
     if h < 2 or wd < 2:
         raise InvalidConfigError(f"2x2 pool window exceeds input {(h, wd)}")
     ho, wo = h // 2, wd // 2
-    # the four window positions as strided views, in row-major order
+    xd = x.data
+    # the four window positions, in row-major order
     corners = [(slice(i, 2 * ho, 2), slice(j, 2 * wo, 2))
                for i in (0, 1) for j in (0, 1)]
-    parts = [x.data[:, :, rows, columns] for rows, columns in corners]
 
     if mode == "avg":
-        out = parts[0] + 0.0
-        for part in parts[1:]:
-            out += part
-        out /= 4
+        # a block of channel planes at a time, so that each of the five
+        # passes finds the block in cache
+        planes = xd.reshape(n * c, h, wd)
+        out = np.empty((n, c, ho, wo), dtype=np.result_type(xd.dtype, 0.0))
+        pooled = out.reshape(n * c, ho, wo)
+        step = max(1, _POOL_BYTES // (h * wd * xd.itemsize))
+        for p0 in range(0, n * c, step):
+            block, sums = planes[p0 : p0 + step], pooled[p0 : p0 + step]
+            windows = [block[:, rows, columns] for rows, columns in corners]
+            np.add(windows[0], 0.0, out=sums)
+            for part in windows[1:]:
+                sums += part
+            sums /= 4
 
         def shares(g):
             share = g / 4
@@ -581,16 +660,20 @@ def pool2d(x, mode):
             yield from [share] * 4
 
     elif mode == "max":
+        parts = [xd[:, :, rows, columns] for rows, columns in corners]
         out = np.maximum(parts[0], parts[1])
         np.maximum(out, parts[2], out=out)
         np.maximum(out, parts[3], out=out)
-        # the first k whose element equals the maximum:
-        # ne0·(1 + ne1·(1 + ne2)) in int8, with ne_k = (part_k != out)
-        first = np.not_equal(parts[2], out).view(np.int8)
-        first += 1
-        first *= np.not_equal(parts[1], out)
-        first += 1
-        first *= np.not_equal(parts[0], out)
+        # the first k whose element equals the maximum, which only a
+        # backward reads: ne0·(1 + ne1·(1 + ne2)) in int8, with
+        # ne_k = (part_k != out)
+        first = None
+        if _grad_enabled and x.requires_grad:
+            first = np.not_equal(parts[2], out).view(np.int8)
+            first += 1
+            first *= np.not_equal(parts[1], out)
+            first += 1
+            first *= np.not_equal(parts[0], out)
         # a NaN window, or a ±0 one, takes argmax's element, sign or NaN
         # included
         patch = out == 0
@@ -600,7 +683,8 @@ def pool2d(x, mode):
             window = np.stack([part[at] for part in parts])
             pick = window.argmax(axis=0)
             out[at] = window[pick, np.arange(pick.size)]
-            first[at] = pick
+            if first is not None:
+                first[at] = pick
 
         def shares(g):
             g = g + 0.0
@@ -658,41 +742,20 @@ def _standardize_grad(g, xhat, inv, axes, scale=1.0):
     return dx, sgx, sg
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var, training=True):
-    """Per-channel batch normalization over an N×C×F×T tensor.
+def batch_norm(x, gamma, beta, running_mean, running_var):
+    """Training-mode batch normalization over an N×C×F×T tensor, one node.
 
-    `running_mean`/`running_var` are plain arrays mutated in place during
-    training (biased batch variance, new = (1 − m)·old + m·batch with
-    m = BN_MOMENTUM). Each mode is one node. Eval mode computes
-    (x − μ)·inv·γ + β from the running statistics in one buffer, in that
-    order; its backward rebuilds (x − μ)·inv from x for γ's gradient.
+    Normalizes by the batch's own statistics and updates the plain arrays
+    `running_mean`/`running_var` in place (biased batch variance,
+    new = (1 − m)·old + m·batch with m = BN_MOMENTUM). Eval mode reads
+    the running statistics only where `model` folds them into the
+    preceding convolution.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise InvalidInputError("batch_norm affine parameters must have length C")
     shape = (1, c, 1, 1)
     scale = gamma.data.reshape(shape)
-    if not training:
-        # the float64 running stats take x's dtype where they meet it
-        xd = x.data
-        mu = np.asarray(running_mean.reshape(shape), dtype=xd.dtype)
-        inv = np.asarray(1.0 / np.sqrt(running_var.reshape(shape) + NORM_EPS),
-                         dtype=xd.dtype)
-        out = np.subtract(xd, mu)
-        out *= inv
-        out *= scale
-        out += beta.data.reshape(shape)
-
-        def backprop(g):
-            xhat = np.subtract(xd, mu)
-            xhat *= inv
-            dx = g * scale
-            dx *= inv
-            return (dx, _unbroadcast(g * xhat, shape).reshape(c),
-                    _unbroadcast(g, shape).reshape(c))
-
-        return _node(out, (x, gamma, beta), backprop)
-
     axes = (0, 2, 3)
     xhat, inv, mu, var = _standardize(x.data, axes)
     running_mean *= 1.0 - BN_MOMENTUM

@@ -5,7 +5,8 @@ Data flow: Doub-Inc block -> Inc-Res block (128ch) -> Inc-Res block (256ch)
 -> three global pooling maps -> per-map multi-head self-attention -> FC(512)
 -> FC(n_classes) logits; `training.predict` turns them into probabilities
 and `training.kl_loss` takes their log-softmax. Every Avg/Max pool is 2x2
-stride 2, so the spatial dims halve at each of the three blocks.
+stride 2, so the spatial dims halve at each of the three blocks. In eval
+mode each batch norm is folded into the convolution before it (`conv_bn`).
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ class Conv2d(Module):
         self.bias = (Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
                      if bias else None)
 
+    def kernels(self):
+        return [self.weight]
+
     def __call__(self, x):
         return ad.conv2d(x, self.weight, self.bias)
 
@@ -164,15 +168,34 @@ class Dense(Module):
 
 
 class BatchNorm2d(Module):
+    """Batch norm after a bias-free convolution: called in training mode,
+    folded into that convolution in eval mode (see `conv_bn`)."""
+
     def __init__(self, channels, dtype):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def __call__(self, x, training):
+    def __call__(self, x):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training=training)
+                             self.running_var)
+
+    def fold(self, kernels):
+        """Eval mode, (x − running_mean)·s + β with s = γ·(running_var +
+        NORM_EPS)^−½ per channel, folded into the convolution `kernels`
+        that make x (Jacob et al. 2018, arXiv:1712.05877, §3.2): returns
+        (each kernel scaled by s along its output channels,
+        [β − running_mean·s]). Built by autodiff ops on every call, from
+        the live parameters and statistics, so nothing more is stored and
+        gradients reach the kernels, γ and β. The float64 statistics take
+        the parameters' dtype where they meet them."""
+        inv = np.asarray(1.0 / np.sqrt(self.running_var + ad.NORM_EPS),
+                         dtype=self.gamma.data.dtype)
+        s = self.gamma * inv
+        per_output = s.reshape((-1, 1, 1, 1))
+        return ([w * per_output for w in kernels],
+                [self.beta - s * self.running_mean])
 
 
 class MultiHeadAttention(Module):
@@ -216,10 +239,23 @@ class IncBranches(Module):
             for kh, kw in kernels
         ]
 
+    def kernels(self):
+        return [b.weight for b in self.branches]
+
     def __call__(self, x):
         return ad.conv2d_sum(
-            x, [b.weight for b in self.branches],
+            x, self.kernels(),
             [b.bias for b in self.branches if b.bias is not None])
+
+
+def conv_bn(conv, bn, x, training):
+    """bn(conv(x)) for a bias-free convolution `conv` (a Conv2d or
+    IncBranches) and the BatchNorm2d `bn`. In eval mode it is one
+    convolution by the kernels and the bias of `bn.fold`, so besides the
+    GEMMs the layer only adds that bias to each band of its output."""
+    if training:
+        return bn(conv(x))
+    return ad.conv2d_sum(x, *bn.fold(conv.kernels()))
 
 
 def inc01(c_in, c_out, rng, dtype):
@@ -242,11 +278,10 @@ class DoubIncBlock(Module):
 
     def __call__(self, x, training, rng):
         # one layer per statement, so that under no_grad each layer's input
-        # is freed as soon as that layer returns
+        # is freed as soon as that layer returns, and ReLU overwrites the
+        # layer's fresh output
         for inc, bn in ((self.inc_a, self.bn_a), (self.inc_b, self.bn_b)):
-            x = inc(x)
-            x = bn(x, training)
-            x = ad.relu(x)
+            x = ad.relu(conv_bn(inc, bn, x, training), inplace=True)
         x = ad.pool2d(x, "avg")
         x = ad.dropout(x, self.drop, training, rng)
         return residual_norm(x, self.rn_lambda)
@@ -271,13 +306,17 @@ class IncResBlock(Module):
         self.drop = drop
 
     def __call__(self, x, training, rng):
+        # each ReLU may overwrite its branch's fresh convolution output
         b1 = residual_norm(
-            ad.pool2d(ad.relu(self.inc_ft(x)), "avg"), self.rn_lambda
+            ad.pool2d(ad.relu(self.inc_ft(x), inplace=True), "avg"),
+            self.rn_lambda,
         )
         b2 = residual_norm(
-            ad.pool2d(ad.relu(self.inc_t(x)), "avg"), self.rn_lambda
+            ad.pool2d(ad.relu(self.inc_t(x), inplace=True), "avg"),
+            self.rn_lambda,
         )
-        res = ad.pool2d(self.shortcut_bn(self.shortcut(x), training), "max")
+        res = ad.pool2d(
+            conv_bn(self.shortcut, self.shortcut_bn, x, training), "max")
         return ad.dropout(b1 + b2 + res, self.drop, training, rng)
 
 

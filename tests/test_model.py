@@ -137,6 +137,20 @@ class TestForward:
             out_perm = model(x[perm]).data
         assert np.allclose(out[perm], out_perm, atol=1e-5)
 
+    def test_no_grad_forward_leaves_its_input_unchanged(self):
+        # under no_grad each ReLU may overwrite its convolution's fresh
+        # output, never the caller's batch, as an array or as a Tensor
+        model = md.RespiratoryClassifier(tiny_config(dropout=0.2), seed=2)
+        x = np.random.default_rng(2).standard_normal((2, 1, 16, 32))
+        x = x.astype(np.float32)
+        t = Tensor(x.copy())
+        before = x.tobytes()
+        with ad.no_grad():
+            for batch in (x, t):
+                model(batch)
+                model(batch, training=True, rng=np.random.default_rng(0))
+        assert x.tobytes() == t.data.tobytes() == before
+
     def test_wrong_input_shape_rejected(self):
         model = md.RespiratoryClassifier(tiny_config(), seed=0)
         with pytest.raises(InvalidInputError):
@@ -243,9 +257,10 @@ class TestTapeRelease:
 class TestEvalMemory:
     def test_doub_inc_eval_holds_two_activations(self, monkeypatch):
         """An eval forward of the Doub-Inc block holds at most two
-        full-size activations at once, besides one band of columns and the
-        merged weights: no padded copy of a convolution's input, and no
-        layer's input kept alive past the layer."""
+        full-size activations at once, besides inc_b's scratch: one band
+        of columns, one band of partial sums and its weights. So no padded
+        copy of a convolution's input, and no layer's input kept alive
+        past the layer."""
         monkeypatch.setattr(ad, "_BAND_BYTES", 1)  # one-row bands
         c, n, h, w = 16, 2, 40, 64
         block = md.DoubIncBlock(c, 0.4, 0.2, np.random.default_rng(0),
@@ -253,8 +268,12 @@ class TestEvalMemory:
         x = Tensor(np.random.default_rng(1).standard_normal(
             (n, 1, h, w)).astype(np.float32))
         activation = n * c * h * w * 4
-        band = c * 10 * w * 4  # one row of inc_b's columns over 10 taps
-        merged = c * c * 10 * 4
+        # inc_b runs by rows (`_conv_by_rows`): a one-row band and the 3
+        # rows below it over its 3 column offsets, one row of partial sums
+        band = c * 3 * 4 * w * 4 + c * w * 4
+        # its merged weights over 10 taps, the same regrouped per row of
+        # taps, and the folded kernels over 3·3 + 1 + 4 taps
+        weights = 2 * (c * c * 10 * 4) + c * c * 14 * 4
         with ad.no_grad():
             block(x, False, None)  # first-call caches stay out of the count
             tracemalloc.start()
@@ -263,7 +282,7 @@ class TestEvalMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 2 * activation + band + merged + activation // 10
+        assert peak < 2 * activation + band + weights + activation // 10
 
 
 class TestEndToEndGradient:

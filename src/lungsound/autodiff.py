@@ -289,8 +289,9 @@ def log(a):
 
 
 def relu(a, inplace=False):
-    """max(a, 0); a NaN stays NaN. The gradient mask is taken from the
-    output, which is positive exactly where the input is.
+    """max(a, 0); a NaN stays NaN. While recording, the node keeps the
+    gradient mask out > 0, one byte an entry, and not the output: the
+    output is positive exactly where the input is.
 
     `inplace=True` writes the output into a's own array when nothing
     records (under `no_grad`), where no closure can read that array: only
@@ -298,7 +299,8 @@ def relu(a, inplace=False):
     While recording it is ignored and a new array is written."""
     out = np.maximum(a.data, 0,
                      out=a.data if inplace and not _grad_enabled else None)
-    return _node(out, (a,), lambda g: (g * (out > 0),))
+    mask = out > 0 if _grad_enabled and a.requires_grad else None
+    return _node(out, (a,), lambda g: (g * mask,))
 
 
 def clip_min(a, floor):
@@ -402,9 +404,10 @@ def dense(x, w, bias):
 # bytes of im2col columns that a convolution builds at a time: a larger
 # input is run one band of rows at a time, forward and backward
 _BAND_BYTES = 32 << 20
-# bytes of input that average pooling reads at a time, one channel plane
-# at least
-_POOL_BYTES = 1 << 20
+# bytes that a memory-bound pass (a norm, pooling, the subnormal flush)
+# works on at a time, two channels or channel planes at least (`_blocks`):
+# a block this small stays in L2 cache through the pass's several steps
+_BLOCK_BYTES = 1 << 20
 
 
 def _bands(n, ho, row_bytes):
@@ -416,14 +419,48 @@ def _bands(n, ho, row_bytes):
             for i in range(n) for r in range(0, ho, rows)]
 
 
+def _blocks(a, axis=0):
+    """Slices that tile `a` along `axis`, each of at most `_BLOCK_BYTES` and
+    of two indices at least (one only when the axis has one): the blocks of
+    channels, or of channel planes, that a memory-bound pass runs one at a
+    time. A reduction over a slice of two or more channels of an N×C×H×W
+    array sums in the whole array's order; over a single channel numpy may
+    merge the batch axis with the plane's and sum in another, so no block
+    holds a lone index."""
+    count = a.shape[axis]
+    step = max(2, _BLOCK_BYTES * count // max(a.nbytes, 1))
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [count])]
+
+
+def _scratch(a, blocks, axis=0):
+    """A buffer like `a` but for the largest of `blocks` along `axis`, so
+    a blocked pass allocates its temporary once rather than per block."""
+    shape = list(a.shape)
+    shape[axis] = max(s.stop - s.start for s in blocks)
+    return np.empty(shape, dtype=a.dtype)
+
+
+def _planes(a):
+    """The N×C×H×W array `a` as its N·C channel planes, a view when `a` is
+    contiguous."""
+    return a.reshape(-1, *a.shape[-2:])
+
+
 def _flush_subnormal(g):
     """A new array of g with every entry below the dtype's smallest normal
     magnitude set to zero: BLAS on subnormal operands is many times slower.
     A NaN stays NaN."""
-    keep = np.abs(g)
-    np.greater_equal(keep, np.finfo(g.dtype).tiny, out=keep)
-    keep *= g
-    return keep
+    tiny = np.finfo(g.dtype).tiny
+    out = np.empty(g.shape, dtype=g.dtype)
+    src, dst = _planes(g), _planes(out)
+    for s in _blocks(src):
+        keep = np.abs(src[s], out=dst[s])
+        np.greater_equal(keep, tiny, out=keep)
+        keep *= src[s]
+    return out
 
 
 def _band_columns(src, taps, rows, width, halo=0):
@@ -614,7 +651,7 @@ def conv2d_sum(x, weights, biases):
             gw = gw.reshape(o, c, len(taps))
         gws = [gw[:, :, slot].reshape(shape)
                for shape, slot in zip(w_shapes, slots)]
-        gb = g.reshape(n, o, -1).sum(axis=(0, 2))
+        gb = g.reshape(n, o, -1).sum(axis=(0, 2)) if n_biases else None
         gbs = [gb.copy() for _ in range(n_biases)]
         return (gx, *gws, *gbs)
 
@@ -627,7 +664,8 @@ def pool2d(x, mode):
 
     avg sums the window in row-major order, starting from 0 as numpy's
     mean does, and divides by 4; max passes the gradient to the first
-    maximum in row-major order, as argmax does.
+    maximum in row-major order, as argmax does. Average pooling's forward
+    and both backwards run by blocks of channel planes (`_blocks`).
     """
     shape = x.shape
     n, c, h, wd = shape
@@ -640,21 +678,18 @@ def pool2d(x, mode):
                for i in (0, 1) for j in (0, 1)]
 
     if mode == "avg":
-        # a block of channel planes at a time, so that each of the five
-        # passes finds the block in cache
-        planes = xd.reshape(n * c, h, wd)
+        planes = _planes(xd)
         out = np.empty((n, c, ho, wo), dtype=np.result_type(xd.dtype, 0.0))
-        pooled = out.reshape(n * c, ho, wo)
-        step = max(1, _POOL_BYTES // (h * wd * xd.itemsize))
-        for p0 in range(0, n * c, step):
-            block, sums = planes[p0 : p0 + step], pooled[p0 : p0 + step]
+        pooled = _planes(out)
+        for s in _blocks(planes):
+            block, sums = planes[s], pooled[s]
             windows = [block[:, rows, columns] for rows, columns in corners]
             np.add(windows[0], 0.0, out=sums)
             for part in windows[1:]:
                 sums += part
             sums /= 4
 
-        def shares(g):
+        def shares(g, s):
             share = g / 4
             share += 0.0
             yield from [share] * 4
@@ -686,24 +721,26 @@ def pool2d(x, mode):
             if first is not None:
                 first[at] = pick
 
-        def shares(g):
-            g = g + 0.0
+        def shares(g, s):
+            g, block = g + 0.0, _planes(first)[s]
             for k in range(4):
-                yield np.where(first == k, g, 0)
+                yield np.where(block == k, g, 0)
 
     else:
         raise InvalidConfigError(f"unknown pool mode {mode!r}")
 
     # each corner's share of g is assigned rather than summed into zeros:
-    # + 0.0 turns a -0.0 into the 0.0 that such a sum gives. The shares come
-    # one at a time, and none is held once assigned, so one is live at once
+    # + 0.0 turns a -0.0 into the 0.0 that such a sum gives. The shares of
+    # a block come one at a time, and none is held once assigned
     def backprop(g):
         gx = np.empty(shape, dtype=g.dtype)
-        corner_shares = shares(g)
-        for rows, columns in corners:
-            gx[:, :, rows, columns] = next(corner_shares)
-        gx[:, :, 2 * ho :] = 0
-        gx[:, :, :, 2 * wo :] = 0
+        gx_planes, g_planes = _planes(gx), _planes(g)
+        for s in _blocks(gx_planes):
+            block = gx_planes[s]
+            for (rows, columns), share in zip(corners, shares(g_planes[s], s)):
+                block[:, rows, columns] = share
+            block[:, 2 * ho :] = 0
+            block[:, :, 2 * wo :] = 0
         return (gx,)
 
     return _node(out, (x,), backprop)
@@ -712,63 +749,97 @@ def pool2d(x, mode):
 # -- normalizations ------------------------------------------------------------
 
 
-def _standardize(xd, axes):
+def _standardize(xd, axes, xhat=None, squares=None):
     """(xhat, 1/σ, mean, var) of xd over `axes`, with the biased variance
     and xhat = (x - mean)·(var + NORM_EPS)^-½, by the same array expressions,
     and so to the same bytes, as the tmean/power composite in
-    `instance_norm_freq`."""
+    `instance_norm_freq`. xhat is written into `xhat` and the squared
+    deviations, whose sum is the variance, into `squares`, where given."""
     total = xd.sum(axis=axes, keepdims=True)
     mu = total * (total.size / xd.size)
-    diff = xd - mu
-    total = (diff ** 2.0).sum(axis=axes, keepdims=True)
+    diff = np.subtract(xd, mu, out=xhat)
+    total = np.square(diff, out=squares).sum(axis=axes, keepdims=True)
     var = total * (total.size / xd.size)
     inv = (var + NORM_EPS) ** -0.5
-    return diff * inv, inv, mu, var
+    diff *= inv
+    return diff, inv, mu, var
 
 
-def _standardize_grad(g, xhat, inv, axes, scale=1.0):
-    """(dx, Σg·xhat, Σg) for output gradient g of scale·xhat, where dx is
-    the input gradient through `_standardize`; the two sums over `axes`
-    are also the gradients of the scale and of a shift added after it."""
+def _standardize_grad(g, xhat, inv, axes, scale, dx):
+    """(Σg·xhat, Σg) for output gradient g of scale·xhat, with the input
+    gradient through `_standardize` written into `dx`; the two sums over
+    `axes` are also the gradients of the scale and of a shift added after
+    it."""
     m = g.size / inv.size
     sg = g.sum(axis=axes, keepdims=True)
-    dx = g * xhat
+    np.multiply(g, xhat, out=dx)
     sgx = dx.sum(axis=axes, keepdims=True)
     # dx = scale·inv·(g − Σg/m − xhat·Σg·xhat/m), in the one buffer
     np.multiply(xhat, sgx / m, out=dx)
     dx += sg / m
     np.subtract(g, dx, out=dx)
     dx *= scale * inv
-    return dx, sgx, sg
+    return sgx, sg
 
 
-def batch_norm(x, gamma, beta, running_mean, running_var):
-    """Training-mode batch normalization over an N×C×F×T tensor, one node.
+def batch_norm(x, gamma, beta, running_mean, running_var, relu=False):
+    """Training-mode batch normalization over an N×C×F×T tensor, one node;
+    with `relu`, a ReLU of its output in the same node.
 
     Normalizes by the batch's own statistics and updates the plain arrays
     `running_mean`/`running_var` in place (biased batch variance,
     new = (1 − m)·old + m·batch with m = BN_MOMENTUM). Eval mode reads
     the running statistics only where `model` folds them into the
     preceding convolution.
+
+    Forward and backward run by blocks of channels (`_blocks`), each pass
+    over a block while it is in cache. The node keeps xhat and no output:
+    its backward takes the ReLU's mask from xhat·γ + β > 0, the very
+    expression the forward thresholds.
     """
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise InvalidInputError("batch_norm affine parameters must have length C")
     shape = (1, c, 1, 1)
-    scale = gamma.data.reshape(shape)
+    scale, shift = gamma.data.reshape(shape), beta.data.reshape(shape)
     axes = (0, 2, 3)
-    xhat, inv, mu, var = _standardize(x.data, axes)
+    xd = x.data
+    xhat = np.empty(xd.shape, dtype=np.result_type(xd.dtype, 0.0))
+    out = np.empty(xd.shape, dtype=np.result_type(xhat, scale, shift))
+    blocks = _blocks(xd, axis=1)
+    stats = []
+    for s in blocks:
+        # the squares go to the output's block, which they precede
+        _, inv, mu, var = _standardize(xd[:, s], axes, xhat[:, s], out[:, s])
+        y = np.multiply(xhat[:, s], scale[:, s], out=out[:, s])
+        y += shift[:, s]
+        if relu:
+            np.maximum(y, 0, out=y)
+        stats.append((inv, mu, var))
+    inv, mu, var = (np.concatenate(a, axis=1) for a in zip(*stats))
     running_mean *= 1.0 - BN_MOMENTUM
     running_mean += BN_MOMENTUM * mu.reshape(c)
     running_var *= 1.0 - BN_MOMENTUM
     running_var += BN_MOMENTUM * var.reshape(c)
 
     def backprop(g):
-        dx, sgx, sg = _standardize_grad(g, xhat, inv, axes, scale)
-        return dx, sgx.reshape(c), sg.reshape(c)
+        dx = np.empty(g.shape, dtype=np.result_type(g, xhat))
+        scratch = _scratch(dx, blocks, axis=1) if relu else None
+        sums = []
+        for s in blocks:
+            gs = g[:, s]
+            if relu:
+                # the gradient the ReLU passes, for its own output xhat·γ + β
+                pre = scratch[:, : s.stop - s.start]
+                np.multiply(xhat[:, s], scale[:, s], out=pre)
+                pre += shift[:, s]
+                gs = np.multiply(gs, pre > 0, out=pre)
+            sums.append(_standardize_grad(gs, xhat[:, s], inv[:, s], axes,
+                                          scale[:, s], dx[:, s]))
+        sgx, sg = (np.concatenate(a, axis=1).reshape(c) for a in zip(*sums))
+        return dx, sgx, sg
 
-    return _node(xhat * scale + beta.data.reshape(shape), (x, gamma, beta),
-                 backprop)
+    return _node(out, (x, gamma, beta), backprop)
 
 
 def instance_norm_freq(x):
@@ -779,16 +850,36 @@ def instance_norm_freq(x):
 
 
 def residual_norm(x, lam):
-    """lam·x plus `instance_norm_freq(x)`, as one node."""
+    """lam·x plus `instance_norm_freq(x)`, as one node, by blocks of channel
+    planes (`_blocks`). Only while recording does it keep a full-size xhat,
+    which its backward reads; otherwise xhat is formed in the output."""
     lam = float(lam)
-    xhat, inv, _, _ = _standardize(x.data, -1)
+    xd = x.data
+    out = np.empty(xd.shape, dtype=np.result_type(xd.dtype, 0.0))
+    xhat = np.empty_like(out) if _grad_enabled and x.requires_grad else out
+    planes, out_planes, xhat_planes = _planes(xd), _planes(out), _planes(xhat)
+    blocks = _blocks(planes)
+    scratch = _scratch(out_planes, blocks)
+    invs = []
+    for s in blocks:
+        part = scratch[: s.stop - s.start]
+        invs.append(_standardize(planes[s], -1, xhat_planes[s], part)[1])
+        np.add(np.multiply(planes[s], lam, out=part), xhat_planes[s],
+               out=out_planes[s])
+    inv = np.concatenate(invs)
 
     def backprop(g):
-        dx = _standardize_grad(g, xhat, inv, -1)[0]
-        dx += g * lam
+        dx = np.empty(g.shape, dtype=np.result_type(g, xhat))
+        g_planes, dx_planes = _planes(g), _planes(dx)
+        scratch = _scratch(dx_planes, blocks)
+        for s in blocks:
+            _standardize_grad(g_planes[s], xhat_planes[s], inv[s], -1, 1.0,
+                              dx_planes[s])
+            dx_planes[s] += np.multiply(g_planes[s], lam,
+                                        out=scratch[: s.stop - s.start])
         return (dx,)
 
-    return _node(x.data * lam + xhat, (x,), backprop)
+    return _node(out, (x,), backprop)
 
 
 # -- stochastic / nonlinear ----------------------------------------------------
@@ -833,7 +924,9 @@ def dropout(x, p, training, rng=None):
         return x
     if rng is None:
         raise InvalidInputError("training-mode dropout needs an rng")
-    return x * ((rng.random(x.shape) >= p) / (1.0 - p))
+    # the float64 draws decide; the mask is built in x's dtype
+    scale = np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype)
+    return x * np.multiply(rng.random(x.shape) >= p, scale, dtype=scale.dtype)
 
 
 def multi_head_attention(x, wq, wk, wv, wo, heads):

@@ -177,9 +177,9 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def __call__(self, x):
+    def __call__(self, x, relu=False):
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var)
+                             self.running_var, relu)
 
     def fold(self, kernels):
         """Eval mode, (x − running_mean)·s + β with s = γ·(running_var +
@@ -248,14 +248,17 @@ class IncBranches(Module):
             [b.bias for b in self.branches if b.bias is not None])
 
 
-def conv_bn(conv, bn, x, training):
+def conv_bn(conv, bn, x, training, relu=False):
     """bn(conv(x)) for a bias-free convolution `conv` (a Conv2d or
-    IncBranches) and the BatchNorm2d `bn`. In eval mode it is one
-    convolution by the kernels and the bias of `bn.fold`, so besides the
-    GEMMs the layer only adds that bias to each band of its output."""
+    IncBranches) and the BatchNorm2d `bn`, then a ReLU if `relu`. In
+    training mode the ReLU runs inside batch norm's node. In eval mode the
+    layer is one convolution by the kernels and the bias of `bn.fold`, so
+    besides the GEMMs it only adds that bias to each band of its output,
+    and the ReLU overwrites that fresh output."""
     if training:
-        return bn(conv(x))
-    return ad.conv2d_sum(x, *bn.fold(conv.kernels()))
+        return bn(conv(x), relu)
+    out = ad.conv2d_sum(x, *bn.fold(conv.kernels()))
+    return ad.relu(out, inplace=True) if relu else out
 
 
 def inc01(c_in, c_out, rng, dtype):
@@ -278,10 +281,9 @@ class DoubIncBlock(Module):
 
     def __call__(self, x, training, rng):
         # one layer per statement, so that under no_grad each layer's input
-        # is freed as soon as that layer returns, and ReLU overwrites the
-        # layer's fresh output
+        # is freed as soon as that layer returns
         for inc, bn in ((self.inc_a, self.bn_a), (self.inc_b, self.bn_b)):
-            x = ad.relu(conv_bn(inc, bn, x, training), inplace=True)
+            x = conv_bn(inc, bn, x, training, relu=True)
         x = ad.pool2d(x, "avg")
         x = ad.dropout(x, self.drop, training, rng)
         return residual_norm(x, self.rn_lambda)

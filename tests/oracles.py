@@ -239,3 +239,35 @@ def batch_norm_eval_composite(x, gamma, beta, running_mean, running_var,
 def residual_norm_composite(x, lam):
     """lam·x plus `instance_norm_freq(x)`, composed of taped primitives."""
     return x * lam + ad.instance_norm_freq(x)
+
+
+def standardize_whole(xd, axes):
+    """(xhat, 1/σ) of xd over `axes`, each expression over the whole array:
+    the reference for `autodiff._standardize` run by blocks."""
+    total = xd.sum(axis=axes, keepdims=True)
+    mu = total * (total.size / xd.size)
+    diff = xd - mu
+    total = (diff ** 2.0).sum(axis=axes, keepdims=True)
+    inv = (total * (total.size / xd.size) + 1e-5) ** -0.5
+    return diff * inv, inv
+
+
+def standardize_grad_whole(g, xhat, inv, axes, scale=1.0):
+    """(dx, Σg·xhat, Σg): the closed-form gradient through a standardization
+    whose output is scaled by `scale`, each expression over the whole
+    arrays: the reference for `autodiff._standardize_grad` run by blocks."""
+    m = g.size / inv.size
+    sg = g.sum(axis=axes, keepdims=True)
+    dx = g * xhat
+    sgx = dx.sum(axis=axes, keepdims=True)
+    dx = scale * inv * (g - (xhat * (sgx / m) + sg / m))
+    return dx, sgx, sg
+
+
+def flush_subnormal_whole(g):
+    """g with every entry below the dtype's smallest normal magnitude set
+    to zero, as three passes over the whole array: the reference for
+    `autodiff._flush_subnormal` run by blocks."""
+    keep = np.abs(g)
+    np.greater_equal(keep, np.finfo(g.dtype).tiny, out=keep)
+    return keep * g

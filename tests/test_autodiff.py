@@ -8,7 +8,9 @@ from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
 from oracles import (batch_norm_composite, batch_norm_eval_composite,
                      conv2d_im2col, conv2d_loop, conv2d_loop_grads,
-                     grad_check, pool2d_windows, residual_norm_composite)
+                     flush_subnormal_whole, grad_check, pool2d_windows,
+                     residual_norm_composite, standardize_grad_whole,
+                     standardize_whole)
 
 
 def conv_with_bn(kind, c_in, c_out, dtype, seed):
@@ -547,8 +549,15 @@ class TestPooling:
     @pytest.mark.parametrize("shape", [(2, 3, 8, 10), (1, 2, 7, 9)])
     def test_avg_one_plane_at_a_time(self, shape, dtype, monkeypatch):
         # average pooling runs a block of channel planes at a time
-        monkeypatch.setattr(ad, "_POOL_BYTES", 1)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
         assert_pool_matches_window_oracle(shape, "avg", dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 2, 7, 9), (3, 2, 8, 10)])
+    def test_max_one_plane_at_a_time(self, shape, dtype, monkeypatch):
+        # max pooling's backward runs a block of channel planes at a time
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+        assert_pool_matches_window_oracle(shape, "max", dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_max_output_does_not_depend_on_recording(self, dtype):
@@ -728,6 +737,87 @@ class TestFusedNorms:
             ad.tsum(norm(leaf, 0.4) ** 2 * coef).backward()
             grads.append(leaf.grad)
         assert np.allclose(grads[0], grads[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize("n", [1, 3])
+class TestSmallestBlocks:
+    """With a block budget of 1 byte every blocked pass runs its smallest
+    blocks, two channels or channel planes (three where one would be left
+    over), and still gives the bytes of its whole-array reference, forward
+    and backward."""
+
+    @pytest.fixture(autouse=True)
+    def one_unit_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+
+    @staticmethod
+    def arrays(n, nan, dtype, seed):
+        """An N×5×5×6 input, offset and spread as a convolution's output,
+        and an output gradient; with `nan`, a NaN in each."""
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((n, 5, 5, 6)) * 3 + 1).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        if nan:
+            x[-1, 1, 2, 3] = np.nan
+            g[0, 2, 4, 1] = np.nan
+        return x, g
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+    def test_batch_norm(self, n, nan, dtype, relu):
+        x, g = self.arrays(n, nan, dtype, seed=31)
+        rng = np.random.default_rng(32)
+        gamma, beta = (rng.standard_normal(5).astype(dtype) for _ in "gb")
+        stats = [rng.standard_normal(5), rng.random(5) + 0.5]
+        got_stats = [a.copy() for a in stats]
+        want = batch_norm_composite(Tensor(x), Tensor(gamma), Tensor(beta),
+                                    *stats)
+        if relu:
+            want = ad.relu(want)
+        got = ad.batch_norm(Tensor(x, requires_grad=True), Tensor(gamma),
+                            Tensor(beta), *got_stats, relu=relu)
+        assert got.data.tobytes() == want.data.tobytes()
+        for a, b in zip(got_stats, stats):
+            assert a.tobytes() == b.tobytes()
+        axes = (0, 2, 3)
+        xhat, inv = standardize_whole(x, axes)
+        passed = g * (want.data > 0) if relu else g
+        dx, sgx, sg = standardize_grad_whole(passed, xhat, inv, axes,
+                                             gamma.reshape(1, 5, 1, 1))
+        for got_g, want_g in zip(got._backprop(g),
+                                 (dx, sgx.reshape(5), sg.reshape(5))):
+            assert got_g.dtype == dtype
+            assert got_g.tobytes() == want_g.tobytes()
+
+    def test_residual_norm(self, n, nan, dtype):
+        x, g = self.arrays(n, nan, dtype, seed=33)
+        want = residual_norm_composite(Tensor(x), 0.4).data
+        got = ad.residual_norm(Tensor(x, requires_grad=True), 0.4)
+        with ad.no_grad():
+            unrecorded = ad.residual_norm(Tensor(x, requires_grad=True), 0.4)
+        assert got.data.tobytes() == unrecorded.data.tobytes() == want.tobytes()
+        xhat, inv = standardize_whole(x, -1)
+        dx = standardize_grad_whole(g, xhat, inv, -1)[0] + g * 0.4
+        (got_dx,) = got._backprop(g)
+        assert got_dx.dtype == dtype
+        assert got_dx.tobytes() == dx.tobytes()
+
+    def test_avg_pool(self, n, nan, dtype):
+        x, g = self.arrays(n, nan, dtype, seed=34)
+        g = g[:, :, :2, :3]
+        got = ad.pool2d(Tensor(x, requires_grad=True), "avg")
+        want = pool2d_windows(Tensor(x, requires_grad=True), "avg", (2, 2))
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got._backprop(g)[0].tobytes() == want._backprop(g)[0].tobytes()
+
+    def test_flush_subnormal(self, n, nan, dtype):
+        g = self.arrays(n, nan, dtype, seed=35)[1]
+        tiny = np.finfo(dtype).tiny
+        g[0, 0, 0, :5] = [tiny, tiny / 2, -tiny / 4, -0.0, np.inf]
+        g[-1, -1, -1, :2] = [-tiny / 8, -np.inf]
+        got = ad._flush_subnormal(g)
+        assert got.tobytes() == flush_subnormal_whole(g).tobytes()
 
 
 class TestInstanceNormFreq:

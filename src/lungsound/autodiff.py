@@ -500,50 +500,56 @@ def _band_columns(src, taps, rows, width, halo=0):
         yield band, cols.reshape(k, -1)
 
 
-def _conv_by_rows(xd, merged, taps, bias, out):
-    """`conv2d_sum`'s forward into `out` from columns of the input's column
-    shifts only, one per distinct dx, each band holding the rows below it
-    that its lower taps read: one GEMM per row dy of taps, against those
-    columns moved down dy rows, and the GEMMs summed in order of dy. An
-    im2col holds every tap, so a 3×3 kernel copies its input 9 times here
-    against 3; each further row costs one pass over the output band. The
-    sum runs in another order than one GEMM over all taps, so the two
-    forwards agree to rounding only."""
-    n, c, h, wd = xd.shape
+def _conv_forward(xd, merged, taps, bias, out):
+    """`conv2d_sum`'s forward into `out`, the schedule chosen from the shapes
+    alone. Each band's columns hold a set of column shifts of the input, and
+    the output band is a sum of GEMMs, one per group of taps, each against
+    its rows of those columns moved down by the group's row offset.
+
+    By rows of taps: a shift per distinct dx, each band holding the rows
+    below it that its lower taps read, and one GEMM per row dy of taps, the
+    GEMMs summed in order of dy. This copies a 3×3 kernel's input 3 times
+    rather than 9, but each further row of taps costs one pass over the
+    output band, so it runs only where the copies saved, (taps − distinct
+    dx)·C, outnumber those passes, (rows of taps − 1)·O. Otherwise an
+    im2col: every tap a shift, no halo rows and one GEMM."""
+    _, c, h, wd = xd.shape
     o = merged.shape[0]
     dxs = sorted({dx for _, dx in taps})
-    top, n_dx = taps[0][0], len(dxs)
-    groups = []  # (dy − top, rows of the columns, weight over those rows)
-    for dy in range(top, taps[-1][0] + 1):
-        row = [(dxs.index(dx), t) for t, (ty, dx) in enumerate(taps)
-               if ty == dy]
-        if len(row) == 1:  # one tap: each channel's column of that dx
-            (j, t), = row
-            groups.append((dy - top, slice(j, None, n_dx),
-                           np.ascontiguousarray(merged[:, :, t])))
-        elif row:  # a dx the row lacks gets zero weight
-            w = np.zeros((o, c, n_dx), dtype=merged.dtype)
-            for j, t in row:
-                w[:, :, j] = merged[:, :, t]
-            groups.append((dy - top, slice(None), w.reshape(o, -1)))
+    top, halo, n_dx = taps[0][0], taps[-1][0] - taps[0][0], len(dxs)
+    if (len(taps) - n_dx) * c > halo * o:
+        shifts = [(top, dx) for dx in dxs]
+        groups = []  # (dy − top, rows of the columns, weight over those rows)
+        for dy in range(top, taps[-1][0] + 1):
+            row = [(dxs.index(dx), t) for t, (ty, dx) in enumerate(taps)
+                   if ty == dy]
+            if len(row) == 1:  # one tap: each channel's column of that dx
+                (j, t), = row
+                groups.append((dy - top, slice(j, None, n_dx),
+                               np.ascontiguousarray(merged[:, :, t])))
+            elif row:  # a dx the row lacks gets zero weight
+                w = np.zeros((o, c, n_dx), dtype=merged.dtype)
+                for j, t in row:
+                    w[:, :, j] = merged[:, :, t]
+                groups.append((dy - top, slice(None), w.reshape(o, -1)))
+    else:
+        shifts, halo = taps, 0
+        groups = [(0, slice(None), merged.reshape(o, -1))]
     buf = None
-    shifts = [(top, dx) for dx in dxs]
-    for (i, r0, r1), cols in _band_columns(xd, shifts, h, wd,
-                                           halo=taps[-1][0] - top):
+    for (i, r0, r1), cols in _band_columns(xd, shifts, h, wd, halo):
+        # a view: a band's rows of one channel are contiguous in `out`
         band = out[i, :, r0:r1].reshape(o, -1)
         span = band.shape[1]
-        if buf is None:  # the first band is the largest
-            buf = np.empty(band.size, dtype=out.dtype)
-        part = buf[: band.size].reshape(o, span)
         for g, (down, rows, w) in enumerate(groups):
             moved = cols[rows, down * wd : down * wd + span]
             if g == 0:
                 np.matmul(w, moved, out=band)
-            else:
-                np.matmul(w, moved, out=part)
-                band += part
+                continue
+            if buf is None:  # the first band is the largest
+                buf = np.empty(band.size, dtype=out.dtype)
+            band += np.matmul(w, moved, out=buf[: band.size].reshape(o, span))
         if bias is not None:
-            band += bias
+            band += bias  # while the GEMM's output is still in cache
 
 
 def conv2d(x, w, bias):
@@ -560,15 +566,18 @@ def conv2d_sum(x, weights, biases):
     O×C×Kf×Kt kernel in `weights`, plus each O-vector in `biases`, as one
     node; the output keeps x's spatial dims.
 
-    The kernels' taps sit at offsets from the output position; an im2col
-    over the union of those offsets and a GEMM against the per-offset sum
-    of the kernels' weights gives the sum of the separate convolutions. Each kernel's gradient is its own taps' slice of
-    the merged weight gradient. All columns are built one band at a time by
-    `_band_columns`, a band being a run of one sample's rows, so every GEMM
-    is 2-d and no node keeps any columns for its backward. The same
-    function writes the zero border: a tap that falls outside the array it
-    reads gets zeros, so no padded copy of the input or of the gradient is
-    made.
+    The kernels' taps sit at offsets from the output position. Summed per
+    offset, the kernels' weights make one merged kernel over the union of
+    those offsets, whose convolution is the sum of the separate ones; each
+    kernel's gradient is its own taps' slice of the merged weight gradient.
+    The forward runs the merged kernel by `_conv_forward`, which picks an
+    im2col or a schedule by rows of taps from the shapes alone, so a
+    recording and a non-recording forward give the same bytes. All columns
+    are built one band at a time by `_band_columns`, a band being a run of
+    one sample's rows, so every GEMM is 2-d and no node keeps any columns
+    for its backward. The same function writes the zero border: a tap that
+    falls outside the array it reads gets zeros, so no padded copy of the
+    input or of the gradient is made.
 
     The backward lays out im2col columns of the output gradient over the
     input's positions, one band of a sample's input rows at a time: entry
@@ -580,11 +589,6 @@ def conv2d_sum(x, weights, biases):
     gets from its input's columns, built again band by band. The backward
     flushes subnormal output gradients to zero once per node; the bias
     gradient sums them as they are.
-
-    While nothing records, kernels that span several rows of taps may run
-    by `_conv_by_rows` instead, which copies the input once per distinct
-    column offset rather than once per tap; its sum runs in another order,
-    so such a forward agrees with a recording one to rounding only.
     """
     if (x.ndim != 4 or 0 in x.shape or not weights
             or any(w.ndim != 4 for w in weights)):
@@ -614,22 +618,9 @@ def conv2d_sum(x, weights, biases):
     merged = np.zeros((o, c, len(taps)), dtype=weights[0].data.dtype)
     for w, slot in zip(weights, slots):
         merged[:, :, slot] += w.data.reshape(o, c, -1)
-    w2 = merged.reshape(o, k)
     bias = sum(b.data for b in biases).reshape(o, 1) if biases else None
-    out = np.empty((n, o, h, wd), dtype=np.result_type(w2.dtype, xd.dtype))
-    # while nothing records, by rows when the column copies that saves
-    # outnumber the output passes it adds
-    n_dx = len({dx for _, dx in taps})
-    if (not _grad_enabled
-            and (len(taps) - n_dx) * c > (taps[-1][0] - taps[0][0]) * o):
-        _conv_by_rows(xd, merged, taps, bias, out)
-    else:
-        for (i, r0, r1), cols in _band_columns(xd, taps, h, wd):
-            # a view: a band's rows of one channel are contiguous in `out`
-            band = out[i, :, r0:r1].reshape(o, -1)
-            np.matmul(w2, cols, out=band)
-            if bias is not None:
-                band += bias  # while the GEMM's output is still in cache
+    out = np.empty((n, o, h, wd), dtype=np.result_type(merged.dtype, xd.dtype))
+    _conv_forward(xd, merged, taps, bias, out)
 
     def backprop(g):
         gf = _flush_subnormal(g)

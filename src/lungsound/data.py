@@ -206,6 +206,11 @@ def segment_events(clip, annotation):
                 f"{annotation.recording_id}: event {onset_ms}..{offset_ms} ms "
                 f"beyond recording end"
             )
+        if stop <= start:
+            raise DataError(
+                f"{annotation.recording_id}: event {onset_ms}..{offset_ms} ms "
+                f"spans no sample at {clip.sample_rate} Hz"
+            )
         out.append((AudioClip(samples=clip.samples[start:stop].copy(),
                               sample_rate=clip.sample_rate), label))
     return out

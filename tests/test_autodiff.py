@@ -420,8 +420,9 @@ class TestConv2dBackward:
 
 
 class TestConv2dByRows:
-    """The forward while nothing records, by rows of taps
-    (`_conv_by_rows`), against the loop oracle in float64."""
+    """The forward by rows of taps, `_conv_forward`'s schedule for kernels
+    over several rows of taps, against the loop oracle in float64, and the
+    rule that picks it from the shapes alone."""
 
     # the band loop's kernels with taps over several rows, a row of taps
     # that lacks some of the column offsets (3x3 beside 1x5), and an even
@@ -434,70 +435,94 @@ class TestConv2dByRows:
     }
 
     @staticmethod
-    def counting(monkeypatch):
-        """Counts the calls of `_conv_by_rows`."""
+    def schedules(monkeypatch):
+        """The (column shifts, halo rows) of each `_band_columns` call."""
         calls = []
-        by_rows = ad._conv_by_rows
+        band_columns = ad._band_columns
 
-        def spy(*args):
-            calls.append(args)
-            return by_rows(*args)
+        def spy(src, taps, rows, width, halo=0):
+            calls.append((list(taps), halo))
+            return band_columns(src, taps, rows, width, halo)
 
-        monkeypatch.setattr(ad, "_conv_by_rows", spy)
+        monkeypatch.setattr(ad, "_band_columns", spy)
         return calls
+
+    @staticmethod
+    def by_rows(taps):
+        """The schedule by rows for a kernel over `taps`: one shift per
+        distinct column offset from the top row, and the rows below."""
+        dys, dxs = zip(*taps)
+        return ([(min(dys), dx) for dx in sorted(set(dxs))],
+                max(dys) - min(dys))
+
+    @staticmethod
+    def union(kernels):
+        """The row-major union of the kernels' taps, as `conv2d_sum` takes
+        it."""
+        return sorted({(i - (kh - 1) // 2, j - (kw - 1) // 2)
+                       for kh, kw in kernels
+                       for i in range(kh) for j in range(kw)})
 
     @pytest.mark.parametrize("layout", ["one", "rows1", "rows3"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_loop_oracle(self, monkeypatch, name, layout):
+        """Recording, with an input that needs a gradient, and not."""
         kernels, n_taps, (h, w) = self.CASES[name]
         rng = np.random.default_rng(23)
         x = rng.standard_normal((3, 3, h, w))
         weights, biases = TestConv2dSum.branch_params(rng, kernels)
         monkeypatch.setattr(ad, "_BAND_BYTES",
                             TestConv2dBands.budget(layout, n_taps, h, w))
-        calls = self.counting(monkeypatch)
+        calls = self.schedules(monkeypatch)
+        recorded = ad.conv2d_sum(Tensor(x, requires_grad=True), weights,
+                                 biases)
         with ad.no_grad():
-            out = ad.conv2d_sum(Tensor(x), weights, biases)
-        assert len(calls) == 1
+            not_recorded = ad.conv2d_sum(Tensor(x), weights, biases)
+        assert calls == [self.by_rows(self.union(kernels))] * 2
         loops = sum(conv2d_loop(x, w.data, b.data)
                     for w, b in zip(weights, biases))
-        assert np.allclose(out.data, loops, rtol=0, atol=1e-12)
+        for out in (recorded, not_recorded):
+            assert np.allclose(out.data, loops, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_agrees_with_the_recording_forward(self, dtype):
         rng = np.random.default_rng(24)
-        x = Tensor(rng.standard_normal((2, 8, 9, 13)).astype(dtype))
+        x = rng.standard_normal((2, 8, 9, 13)).astype(dtype)
         weights, biases = TestConv2dSum.branch_params(
             rng, self.CASES["inc01"][0], c_in=8, c_out=5)
-        weights = [Tensor(w.data.astype(dtype)) for w in weights]
-        biases = [Tensor(b.data.astype(dtype)) for b in biases]
-        recorded = ad.conv2d_sum(x, weights, biases).data
+        weights = [Tensor(w.data.astype(dtype), requires_grad=True)
+                   for w in weights]
+        biases = [Tensor(b.data.astype(dtype), requires_grad=True)
+                  for b in biases]
+        recorded = ad.conv2d_sum(Tensor(x, requires_grad=True), weights,
+                                 biases).data
         with ad.no_grad():
-            by_rows = ad.conv2d_sum(x, weights, biases).data
-        assert by_rows.dtype == dtype
-        # a sum of 8·10 products plus three biases, in another order
-        bound = 1e-12 if dtype == np.float64 else 2e-6
-        assert np.abs(by_rows - recorded).max() <= (
-            bound * np.abs(recorded).max())
+            not_recorded = ad.conv2d_sum(Tensor(x), weights, biases).data
+        assert not_recorded.dtype == recorded.dtype == dtype
+        assert not_recorded.tobytes() == recorded.tobytes()
 
-    def test_only_where_it_saves_copies(self, monkeypatch):
-        """Not while recording, not for one row of taps, and not where the
-        output passes it adds outnumber the copies it saves: the Doub-Inc
-        layer's first convolution of one input channel."""
+    def test_the_shapes_pick_the_schedule(self, monkeypatch):
+        """Recording or not, and whether the input needs a gradient or not,
+        the same shapes run the same schedule: by rows for a 3×3 kernel's
+        rows; not for one row of taps; and not where the output passes it
+        adds outnumber the copies it saves, as in the Doub-Inc layer's first
+        convolution of one input channel."""
         rng = np.random.default_rng(25)
-        x = Tensor(rng.standard_normal((1, 3, 7, 11)))
-        calls = self.counting(monkeypatch)
-        inc01, _ = TestConv2dSum.branch_params(rng, self.CASES["inc01"][0])
-        inct, _ = TestConv2dSum.branch_params(rng, [(1, 5), (1, 7)])
-        ad.conv2d_sum(x, inc01, [])
-        with ad.no_grad():
-            ad.conv2d_sum(x, inct, [])
-            ad.conv2d_sum(Tensor(x.data[:, :1]),
-                          [Tensor(w.data[:, :1]) for w in inc01], [])
-        assert calls == []
-        with ad.no_grad():
-            ad.conv2d_sum(x, inc01, [])
-        assert len(calls) == 1
+        inc01 = self.CASES["inc01"][0]
+        calls = self.schedules(monkeypatch)
+        for kernels, c_in, by_rows in [(inc01, 3, True),
+                                       ([(1, 5), (1, 7)], 3, False),
+                                       (inc01, 1, False)]:
+            x = rng.standard_normal((1, c_in, 7, 11))
+            weights, _ = TestConv2dSum.branch_params(rng, kernels, c_in=c_in)
+            calls.clear()
+            ad.conv2d_sum(Tensor(x, requires_grad=True), weights, [])
+            ad.conv2d_sum(Tensor(x), weights, [])
+            with ad.no_grad():
+                ad.conv2d_sum(Tensor(x), weights, [])
+            taps = self.union(kernels)
+            want = self.by_rows(taps) if by_rows else (taps, 0)
+            assert calls == [want] * 3, (kernels, c_in)
 
 
 def assert_pool_matches_window_oracle(shape, mode, dtype):

@@ -113,6 +113,14 @@ class TestSegmentEvents:
         with pytest.raises(DataError):
             segment_events(clip, ann)
 
+    def test_event_of_no_sample_names_recording_event_and_rate(self):
+        # 3..4 ms at 500 Hz is samples round(1.5)..round(2.0), i.e. 2..2
+        clip = AudioClip(samples=np.zeros(500), sample_rate=500)
+        ann = AnnotationRecord("rec_7", "N", ((3, 4, "N"),))
+        with pytest.raises(DataError, match=r"rec_7: event 3\.\.4 ms "
+                                            r"spans no sample at 500 Hz"):
+            segment_events(clip, ann)
+
 
 class TestManifest:
     def test_roundtrip_through_file(self, tmp_path):

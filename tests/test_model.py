@@ -151,6 +151,23 @@ class TestForward:
                 model(batch, training=True, rng=np.random.default_rng(0))
         assert x.tobytes() == t.data.tobytes() == before
 
+    def test_eval_logits_do_not_depend_on_recording(self):
+        """At the criterion-6 geometry, a fresh model's eval forward gives
+        the same logit bytes whether the tape records or not: each
+        convolution picks its schedule from its shapes alone."""
+        cfg = tiny_config(input_dims=(118, 118), n_classes=7,
+                          doub_inc_channels=8, inc_res_channels=(12, 16),
+                          attn_heads=2, attn_key_dim=8, fc_hidden=64)
+        model = md.RespiratoryClassifier(cfg, seed=0)
+        x = np.random.default_rng(3).normal(-60, 6, (7, 1, 118, 118))
+        x = x.astype(np.float32)
+        recorded = model(x, training=False)
+        assert recorded.requires_grad
+        with ad.no_grad():
+            not_recorded = model(x, training=False)
+        assert recorded.data.dtype == np.float32
+        assert recorded.data.tobytes() == not_recorded.data.tobytes()
+
     def test_wrong_input_shape_rejected(self):
         model = md.RespiratoryClassifier(tiny_config(), seed=0)
         with pytest.raises(InvalidInputError):
@@ -268,7 +285,7 @@ class TestEvalMemory:
         x = Tensor(np.random.default_rng(1).standard_normal(
             (n, 1, h, w)).astype(np.float32))
         activation = n * c * h * w * 4
-        # inc_b runs by rows (`_conv_by_rows`): a one-row band and the 3
+        # inc_b runs by rows (`_conv_forward`): a one-row band and the 3
         # rows below it over its 3 column offsets, one row of partial sums
         band = c * 3 * 4 * w * 4 + c * w * 4
         # its merged weights over 10 taps, the same regrouped per row of

@@ -404,9 +404,9 @@ def dense(x, w, bias):
 # bytes of im2col columns that a convolution builds at a time: a larger
 # input is run one band of rows at a time, forward and backward
 _BAND_BYTES = 32 << 20
-# bytes that a memory-bound pass (a norm, pooling, the subnormal flush)
-# works on at a time, two channels or channel planes at least (`_blocks`):
-# a block this small stays in L2 cache through the pass's several steps
+# bytes that a memory-bound pass (a norm, pooling) works on at a time, two
+# channels or channel planes at least (`_blocks`): a block this small stays
+# in L2 cache through the pass's several steps
 _BLOCK_BYTES = 1 << 20
 
 
@@ -447,20 +447,6 @@ def _planes(a):
     """The N×C×H×W array `a` as its N·C channel planes, a view when `a` is
     contiguous."""
     return a.reshape(-1, *a.shape[-2:])
-
-
-def _flush_subnormal(g):
-    """A new array of g with every entry below the dtype's smallest normal
-    magnitude set to zero: BLAS on subnormal operands is many times slower.
-    A NaN stays NaN."""
-    tiny = np.finfo(g.dtype).tiny
-    out = np.empty(g.shape, dtype=g.dtype)
-    src, dst = _planes(g), _planes(out)
-    for s in _blocks(src):
-        keep = np.abs(src[s], out=dst[s])
-        np.greater_equal(keep, tiny, out=keep)
-        keep *= src[s]
-    return out
 
 
 def _band_columns(src, taps, rows, width, halo=0):
@@ -586,9 +572,7 @@ def conv2d_sum(x, weights, biases):
     one GEMM, and against the band's input the weight gradient in another,
     so the input's columns are never rebuilt and nothing is scattered. A node
     whose input is a constant needs only the weight gradient, which it
-    gets from its input's columns, built again band by band. The backward
-    flushes subnormal output gradients to zero once per node; the bias
-    gradient sums them as they are.
+    gets from its input's columns, built again band by band.
     """
     if (x.ndim != 4 or 0 in x.shape or not weights
             or any(w.ndim != 4 for w in weights)):
@@ -623,13 +607,12 @@ def conv2d_sum(x, weights, biases):
     _conv_forward(xd, merged, taps, bias, out)
 
     def backprop(g):
-        gf = _flush_subnormal(g)
         if x_needs:
             w_r = merged.transpose(1, 0, 2).reshape(c, -1)
             gx = np.empty(xd.shape, dtype=g.dtype)
             gw = np.zeros((o * len(taps), c), dtype=g.dtype)
             flipped = [(-dy, -dx) for dy, dx in taps]
-            for (i, r0, r1), gc in _band_columns(gf, flipped, h, wd):
+            for (i, r0, r1), gc in _band_columns(g, flipped, h, wd):
                 # a view, as in the forward
                 np.matmul(w_r, gc, out=gx[i, :, r0:r1].reshape(c, -1))
                 gw += gc @ xd[i, :, r0:r1].reshape(c, -1).T
@@ -638,7 +621,7 @@ def conv2d_sum(x, weights, biases):
             gx = None
             gw = np.zeros((o, k), dtype=g.dtype)
             for (i, r0, r1), cols in _band_columns(xd, taps, h, wd):
-                gw += gf[i, :, r0:r1].reshape(o, -1) @ cols.T
+                gw += g[i, :, r0:r1].reshape(o, -1) @ cols.T
             gw = gw.reshape(o, c, len(taps))
         gws = [gw[:, :, slot].reshape(shape)
                for shape, slot in zip(w_shapes, slots)]

@@ -23,7 +23,8 @@ import numpy as np
 from . import data, dsp
 from .augment import LabeledSpectrogram
 from .config import load_run_config
-from .errors import FormatError, InvalidConfigError, LungsoundError
+from .errors import (DataError, FormatError, InvalidConfigError,
+                     LungsoundError)
 from .evaluation import SCORE_NAMES, TASKS, evaluate_predictions
 from .model import RespiratoryClassifier
 from .training import fit, load_checkpoint, predict, write_history_csv
@@ -94,8 +95,14 @@ def extract_features(manifest, wavelet, size, level, feature_dir):
     return index
 
 
-def _dataset_for_task(index, feature_dir, task):
-    """LabeledSpectrogram list plus train/validation index lists."""
+def _dataset_for_task(args, cfg, task):
+    """The manifest's samples at the task's level: (sample ids,
+    LabeledSpectrogram list, train indices, validation indices). A manifest
+    with no sample at that level is a DataError."""
+    feature_dir, index = _features(args, cfg, task.level)
+    if not index["samples"]:
+        raise DataError(f"{args.manifest}: no {task.level}-level sample for "
+                        f"task {task.task_id}")
     items, train_idx, val_idx = [], [], []
     n_cls = len(task.class_names)
     for sample in index["samples"]:
@@ -167,8 +174,7 @@ def cmd_train(args):
         args.out, "checkpoints", f"task_{args.task}.lsck"
     )
     os.makedirs(os.path.dirname(os.path.abspath(ckpt)), exist_ok=True)
-    fdir, index = _features(args, cfg, task.level)
-    _, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
+    _, items, train_idx, val_idx = _dataset_for_task(args, cfg, task)
     model = RespiratoryClassifier(model_config, seed=cfg.seed)
     result = fit(model, items, train_idx, val_idx, task, cfg.train,
                  cfg.augment, checkpoint_path=ckpt)
@@ -204,8 +210,7 @@ def cmd_evaluate(args):
             f"{args.checkpoint}: the checkpoint takes {have[0]}x{have[1]} "
             f"inputs; spectrogram.size less augment.crop_bins is "
             f"{want[0]}x{want[1]}")
-    fdir, index = _features(args, cfg, task.level)
-    ids, items, train_idx, val_idx = _dataset_for_task(index, fdir, task)
+    ids, items, train_idx, val_idx = _dataset_for_task(args, cfg, task)
     eval_idx = val_idx if val_idx else train_idx
     truth, probs = predict(model, items, eval_idx, cfg.augment.crop_bins)
     report = evaluate_predictions(truth, probs, task)

@@ -1,4 +1,5 @@
-"""Reference implementations the tests compare the program against."""
+"""Reference implementations the tests compare the program against, and
+the helpers they share."""
 
 import json
 import struct
@@ -10,6 +11,7 @@ from numpy.lib.stride_tricks import as_strided
 from lungsound import autodiff as ad
 from lungsound.autodiff import Tensor
 from lungsound.dsp import _pad_signal
+from lungsound.model import RespiratoryClassifier, glorot_uniform
 
 
 def grad_check(fn, shapes, seed=0, h=1e-4):
@@ -39,6 +41,18 @@ def grad_check(fn, shapes, seed=0, h=1e-4):
             denom = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / denom)
     return worst
+
+
+def glorot_head_model(config, seed=0, dtype=np.float32):
+    """A model built from `seed` whose classifier `head.fc2.weight` gets a
+    Glorot draw from that same seed. A fresh model's classifier is zero, so
+    its logits and every gradient beneath the head are exactly 0, and a
+    check on them would pass however wrong they were."""
+    model = RespiratoryClassifier(config, seed=seed, dtype=dtype)
+    w = model.head.fc2.weight.data
+    w[...] = glorot_uniform(np.random.default_rng(seed), w.shape, *w.shape,
+                            dtype)
+    return model
 
 
 def cwt_direct(clip, spec, scales):
@@ -262,12 +276,3 @@ def standardize_grad_whole(g, xhat, inv, axes, scale=1.0):
     sgx = dx.sum(axis=axes, keepdims=True)
     dx = scale * inv * (g - (xhat * (sgx / m) + sg / m))
     return dx, sgx, sg
-
-
-def flush_subnormal_whole(g):
-    """g with every entry below the dtype's smallest normal magnitude set
-    to zero, as three passes over the whole array: the reference for
-    `autodiff._flush_subnormal` run by blocks."""
-    keep = np.abs(g)
-    np.greater_equal(keep, np.finfo(g.dtype).tiny, out=keep)
-    return keep * g

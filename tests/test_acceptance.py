@@ -22,7 +22,7 @@ from lungsound.data import generate_synthetic_dataset, segment_events
 from lungsound.dsp import AudioClip, Spectrogram, WaveletSpec
 from lungsound.evaluation import TASKS, scores
 from lungsound.model import ModelConfig, RespiratoryClassifier
-from oracles import cwt_direct, grad_check
+from oracles import cwt_direct, glorot_head_model, grad_check
 
 
 def _announce(line):
@@ -156,7 +156,7 @@ def test_criterion_3_gradient_suite():
             inc_res_channels=(3, 4), attn_heads=1, attn_key_dim=2,
             fc_hidden=6, dropout=0.0,
         )
-        model = RespiratoryClassifier(cfg, seed=0, dtype=np.float64)
+        model = glorot_head_model(cfg, seed=0, dtype=np.float64)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 1, 16, 32))
         y = rng.dirichlet(np.ones(3), size=2)

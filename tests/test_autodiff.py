@@ -8,9 +8,8 @@ from lungsound.errors import (InvalidConfigError, InvalidInputError,
                               UsageError)
 from oracles import (batch_norm_composite, batch_norm_eval_composite,
                      conv2d_im2col, conv2d_loop, conv2d_loop_grads,
-                     flush_subnormal_whole, grad_check, pool2d_windows,
-                     residual_norm_composite, standardize_grad_whole,
-                     standardize_whole)
+                     grad_check, pool2d_windows, residual_norm_composite,
+                     standardize_grad_whole, standardize_whole)
 
 
 def conv_with_bn(kind, c_in, c_out, dtype, seed):
@@ -303,25 +302,6 @@ class TestConv2dBands:
                             layout, x.requires_grad)
                 assert any(a is data for a in saved)
 
-    @pytest.mark.parametrize("budget", [None, 1])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_subnormal_output_gradient_is_flushed(self, monkeypatch, dtype,
-                                                  budget):
-        if budget is not None:
-            monkeypatch.setattr(ad, "_BAND_BYTES", budget)
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.standard_normal((2, 3, 7, 11)).astype(dtype),
-                   requires_grad=True)
-        weights = [Tensor(w.data.astype(dtype), requires_grad=True)
-                   for w in TestConv2dSum.branch_params(
-                       rng, self.CASES["inc01"][0])[0]]
-        out = ad.conv2d_sum(x, weights, [])
-        g = np.full(out.shape, np.finfo(dtype).tiny / 4, dtype=dtype)
-        g[:, ::2] *= -1
-        gx, *gws = out._backprop(g)
-        assert gx.dtype == dtype
-        assert not gx.any() and not any(gw.any() for gw in gws)
-
 
 class TestConv2dBackward:
     """The backward from output-gradient columns, with the band budget set
@@ -405,18 +385,6 @@ class TestConv2dBackward:
             for got, wt in zip(gws, weights):
                 want = conv2d_loop_grads(x, wt.data, g)[1]
                 assert np.allclose(got, want, rtol=0, atol=1e-12), name
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_constant_input_flushes_subnormal_gradient(self, dtype):
-        rng = np.random.default_rng(21)
-        weights = [Tensor(w.data.astype(dtype), requires_grad=True)
-                   for w in TestConv2dSum.branch_params(
-                       rng, self.CASES["inc01"][0])[0]]
-        x = Tensor(rng.standard_normal((2, 3, 7, 11)).astype(dtype))
-        out = ad.conv2d_sum(x, weights, [])
-        g = np.full(out.shape, -np.finfo(dtype).tiny / 4, dtype=dtype)
-        gx, *gws = out._backprop(g)
-        assert gx is None and not any(gw.any() for gw in gws)
 
 
 class TestConv2dByRows:
@@ -835,14 +803,6 @@ class TestSmallestBlocks:
         want = pool2d_windows(Tensor(x, requires_grad=True), "avg", (2, 2))
         assert got.data.tobytes() == want.data.tobytes()
         assert got._backprop(g)[0].tobytes() == want._backprop(g)[0].tobytes()
-
-    def test_flush_subnormal(self, n, nan, dtype):
-        g = self.arrays(n, nan, dtype, seed=35)[1]
-        tiny = np.finfo(dtype).tiny
-        g[0, 0, 0, :5] = [tiny, tiny / 2, -tiny / 4, -0.0, np.inf]
-        g[-1, -1, -1, :2] = [-tiny / 8, -np.inf]
-        got = ad._flush_subnormal(g)
-        assert got.tobytes() == flush_subnormal_whole(g).tobytes()
 
 
 class TestInstanceNormFreq:

@@ -637,6 +637,26 @@ class TestErrorHandling:
         assert (f"error: {tmp_path / 'a.json'}: a: malformed annotation"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_no_sample_at_the_task_level_fails_cleanly(
+            self, workspace, tmp_path, capsys, command):
+        # only the event-free Poor Quality recordings: task 1-1, an event
+        # task, has no sample to train on or to score
+        manifest = data.DatasetManifest.load(workspace["manifest"])
+        poor = replace(manifest, entries=tuple(
+            e for e in manifest.entries
+            if not manifest.load_annotation(e).events))
+        assert poor.entries
+        path = str(tmp_path / "manifest.json")
+        poor.save(path)
+        argv = [command, "--manifest", path, "--config", workspace["config"],
+                "--out", str(tmp_path / "out"), "--task", "1-1"]
+        if command == "evaluate":
+            argv += ["--checkpoint", workspace["checkpoint"]]
+        assert main(argv) == 1
+        assert (f"error: {path}: no event-level sample for task 1-1"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("text", [
         "not json",
         '{"root": ".", "entries": [{"audio": "a.wav", "split": "train"}]}',

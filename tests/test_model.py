@@ -7,6 +7,7 @@ from lungsound import autodiff as ad
 from lungsound import model as md
 from lungsound.autodiff import Tensor
 from lungsound.errors import InvalidConfigError, InvalidInputError, UsageError
+from oracles import glorot_head_model
 
 
 def tiny_config(**kw):
@@ -129,7 +130,7 @@ class TestForward:
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-5)
 
     def test_batch_permutation_equivariance(self):
-        model = md.RespiratoryClassifier(tiny_config(), seed=1)
+        model = glorot_head_model(tiny_config(), seed=1)
         x = np.random.default_rng(1).standard_normal((4, 1, 16, 32))
         perm = [2, 0, 3, 1]
         with ad.no_grad():
@@ -152,13 +153,13 @@ class TestForward:
         assert x.tobytes() == t.data.tobytes() == before
 
     def test_eval_logits_do_not_depend_on_recording(self):
-        """At the criterion-6 geometry, a fresh model's eval forward gives
-        the same logit bytes whether the tape records or not: each
-        convolution picks its schedule from its shapes alone."""
+        """At the criterion-6 geometry, a model's eval forward gives the
+        same logit bytes whether the tape records or not: each convolution
+        picks its schedule from its shapes alone."""
         cfg = tiny_config(input_dims=(118, 118), n_classes=7,
                           doub_inc_channels=8, inc_res_channels=(12, 16),
                           attn_heads=2, attn_key_dim=8, fc_hidden=64)
-        model = md.RespiratoryClassifier(cfg, seed=0)
+        model = glorot_head_model(cfg, seed=0)
         x = np.random.default_rng(3).normal(-60, 6, (7, 1, 118, 118))
         x = x.astype(np.float32)
         recorded = model(x, training=False)
@@ -308,7 +309,7 @@ class TestEndToEndGradient:
             input_dims=(8, 16), doub_inc_channels=2, inc_res_channels=(3, 4),
             attn_heads=1, attn_key_dim=2, fc_hidden=6, n_classes=3,
         )
-        model = md.RespiratoryClassifier(cfg, seed=0, dtype=np.float64)
+        model = glorot_head_model(cfg, seed=0, dtype=np.float64)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 1, 8, 16))
         y = rng.dirichlet(np.ones(3), size=2)

@@ -15,16 +15,20 @@ from lungsound.errors import (DataError, FormatError, InvalidConfigError,
                               InvalidInputError)
 from lungsound.evaluation import TASKS
 from lungsound.model import ModelConfig, RespiratoryClassifier
-from oracles import array_entries, write_container
+from oracles import array_entries, glorot_head_model, write_container
 
 
-def tiny_model(n_classes=3, seed=0, dtype=np.float32):
-    cfg = ModelConfig(
+def tiny_config(n_classes=3):
+    return ModelConfig(
         input_dims=(12, 20), n_classes=n_classes, doub_inc_channels=2,
         inc_res_channels=(3, 4), attn_heads=1, attn_key_dim=2, fc_hidden=6,
         dropout=0.0,
     )
-    return RespiratoryClassifier(cfg, seed=seed, dtype=dtype)
+
+
+def tiny_model(n_classes=3, seed=0, dtype=np.float32):
+    return RespiratoryClassifier(tiny_config(n_classes), seed=seed,
+                                 dtype=dtype)
 
 
 def toy_dataset(n_classes=3, per_class=4, f=16, t=24, seed=0):
@@ -173,7 +177,7 @@ class TestAdam:
         assert np.allclose(p.data, [1.0 - 0.01, 1.0 + 0.01], atol=1e-6)
 
     def test_loss_decreases_over_fifty_steps(self):
-        model = tiny_model()
+        model = glorot_head_model(tiny_config(), seed=0)
         model._dropout_rng = np.random.default_rng(0)
         opt = tr.Adam(model.parameters(), lr=3e-3)
         rng = np.random.default_rng(1)
@@ -199,6 +203,57 @@ class TestAdam:
             ]
             traces.append(trace)
         assert traces[0] == traces[1]
+
+
+class TestFreshModel:
+    """A fresh model's classifier is zero, so it starts at ln C per sample
+    and its first updates send no subnormal gradient down the network."""
+
+    def test_criterion_6_geometry_starts_at_ln_7(self):
+        cfg = ModelConfig(
+            input_dims=(118, 118), n_classes=7, doub_inc_channels=8,
+            inc_res_channels=(12, 16), attn_heads=2, attn_key_dim=8,
+            fc_hidden=64, dropout=0.2,
+        )
+        model = RespiratoryClassifier(cfg, seed=0)
+        batch = np.random.default_rng(1).normal(-60, 6, (7, 1, 118, 118))
+        with ad.no_grad():
+            logits = model.forward(batch.astype(np.float32), training=False)
+        assert not logits.data.any()
+        loss = tr.kl_loss(np.eye(7), logits).item()
+        assert loss == pytest.approx(7 * np.log(7), rel=1e-6)
+
+    def test_no_subnormal_reaches_a_convolution_backward(self, monkeypatch):
+        """Two batch-1 steps at paper geometry, README's reproducer: every
+        output gradient that the 8 convolutions' backwards read is 0 or
+        normal. A fresh Glorot classifier put 28,942 subnormal entries
+        there in the second step."""
+        tiny = np.finfo(np.float32).tiny
+        counts = []
+        conv2d_sum = ad.conv2d_sum
+
+        def counted(*args):
+            out = conv2d_sum(*args)
+            backprop = out._backprop
+
+            def counting(g):
+                subnormal = (g != 0) & (np.abs(g) < tiny)
+                counts.append(int(np.count_nonzero(subnormal)))
+                return backprop(g)
+
+            out._backprop = counting
+            return out
+
+        monkeypatch.setattr(ad, "conv2d_sum", counted)
+        model = RespiratoryClassifier(ModelConfig(), seed=0)
+        model._dropout_rng = np.random.default_rng(0)
+        opt = tr.Adam(model.parameters(), lr=1e-3)
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            x = rng.normal(-60, 6, (1, 1, 118, 502)).astype(np.float32)
+            y = np.eye(7)[rng.integers(0, 7, 1)]
+            tr.train_step(model, x, y, opt, 1e-4)
+        assert len(counts) == 2 * 8 and sum(counts) == 0
 
 
 class TestDtypeDiscipline:
